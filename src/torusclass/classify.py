@@ -33,6 +33,10 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant of the classification failed (broken build)."""
 
 
+class OracleBoundError(ValueError):
+    """TORUSCLASS_ORACLE_BOUND is set to something other than an integer >= 1."""
+
+
 DIFFEOMORPHIC = "diffeomorphic"
 NOT_DIFFEOMORPHIC = "not_diffeomorphic"
 DIMENSION_MISMATCH = "dimension_mismatch"
@@ -300,7 +304,14 @@ def default_oracle_bound(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> int:
     max(|rho|)^(k1+k2) up to a factor of two."""
     env = os.environ.get("TORUSCLASS_ORACLE_BOUND")
     if env:
-        return int(env)
+        try:
+            bound = int(env)
+        except ValueError:
+            bound = 0
+        if bound < 1:
+            raise OracleBoundError(
+                f"TORUSCLASS_ORACLE_BOUND must be an integer >= 1, got {env!r}")
+        return bound
     base = max(abs(d.rho), abs(dp.rho), 2)
     return 2 * base ** max(d.k1 + d.k2, dp.k1 + dp.k2) + 2
 

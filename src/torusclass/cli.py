@@ -12,7 +12,7 @@ import sys
 import click
 
 from torusclass import classify, quasitoric
-from torusclass.classify import InternalConsistencyError
+from torusclass.classify import InternalConsistencyError, OracleBoundError
 from torusclass.invariants import DescriptorError, ManifoldDescriptor, report
 from torusclass.isosearch import SearchConfig, find_iso
 
@@ -112,7 +112,8 @@ def dj_cmd(matrix_path):
 @cli.command("oracle-iso")
 @click.argument("first")
 @click.argument("second")
-@click.option("--bound", type=int, default=None, help="Search window for coefficients.")
+@click.option("--bound", type=click.IntRange(min=1), default=None,
+              help="Search window for coefficients.")
 @click.option("--mode", type=click.Choice(["exact", "enum"]), default="exact",
               show_default=True)
 def oracle_iso_cmd(first, second, bound, mode):
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as e:
         click.echo(f"internal consistency failure: {e}", err=True)
         return 2
-    except DescriptorError as e:
+    except (DescriptorError, OracleBoundError) as e:
         click.echo(f"error: {e}", err=True)
         return 1
 

@@ -5,6 +5,14 @@ two-element field.  Every generator carries an even positive cohomological
 degree; a term's degree is the dot product of its exponent vector with the
 generator degrees.  Sums of mixed degree are allowed (total characteristic
 classes are inhomogeneous).
+
+The public constructor validates everything it is given.  Arithmetic
+results are built with the private ``GradedPoly._trusted`` instead, which
+stores its arguments as they are; a caller of ``_trusted`` guarantees that
+the generator list has passed ``check_gens``, that every exponent vector
+is a tuple of non-negative ints with one entry per generator, that no
+coefficient is zero, and that mod-2 coefficients are reduced to 1.  Such a
+result equals ``GradedPoly(p.gens, p.terms, p.domain)`` term for term.
 """
 
 from __future__ import annotations
@@ -66,6 +74,24 @@ class GradedPoly:
                 if not clean[exps]:
                     del clean[exps]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, gens: Gens, terms: dict[tuple[int, ...], int],
+                 domain: Domain) -> "GradedPoly":
+        """Wrap already clean data without copying or checking it (see the
+        module docstring for what the caller guarantees)."""
+        p = object.__new__(cls)
+        p.gens, p.terms, p.domain = gens, terms, domain
+        return p
+
+    def _clean(self, terms: dict[tuple[int, ...], int]) -> "GradedPoly":
+        """A polynomial on this one's generators and domain from raw sums:
+        zero coefficients dropped, mod-2 coefficients reduced."""
+        if self.domain is Domain.MOD2:
+            terms = {e: 1 for e, c in terms.items() if c % 2}
+        else:
+            terms = {e: c for e, c in terms.items() if c}
+        return GradedPoly._trusted(self.gens, terms, self.domain)
 
     # -- constructors ------------------------------------------------------
 
@@ -140,31 +166,34 @@ class GradedPoly:
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
             terms[exps] = terms.get(exps, 0) + coef
-        return GradedPoly(self.gens, terms, self.domain)
+        return self._clean(terms)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.gens, {e: -c for e, c in self.terms.items()}, self.domain)
+        if self.domain is Domain.MOD2:
+            return self
+        return GradedPoly._trusted(self.gens, {e: -c for e, c in self.terms.items()},
+                                   self.domain)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, int):
-            return GradedPoly(self.gens, {e: c * other for e, c in self.terms.items()}, self.domain)
+            return self._clean({e: c * other for e, c in self.terms.items()})
         self._check_compatible(other)
         prod: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod[e] = prod.get(e, 0) + c1 * c2
-        return GradedPoly(self.gens, prod, self.domain)
+        return self._clean(prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "GradedPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
-        result = GradedPoly.one(self.gens, self.domain)
+        result = GradedPoly._trusted(self.gens, {(0,) * len(self.gens): 1}, self.domain)
         base = self
         while e:
             if e & 1:

@@ -10,12 +10,13 @@ the standard product formulas for these bundles.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
-                                 normal_form, presentation_mod2)
+                                 presentation_mod2, reduced_product)
 
 
 class DescriptorError(ValueError):
@@ -123,45 +124,55 @@ def cohomology(d: ManifoldDescriptor) -> RingPresentation:
     return canonicalize(raw)
 
 
-def _pontrjagin_product(d: ManifoldDescriptor, gens) -> GradedPoly:
+def _pontrjagin_factors(d: ManifoldDescriptor, gens) -> list[tuple[GradedPoly, int]]:
+    """The total Pontrjagin class as prod p ** e over the listed (p, e)."""
     x = GradedPoly.generator(gens, "x")
+    one = GradedPoly.one(gens)
     if d.family == "A":
         y = GradedPoly.generator(gens, "y")
-        one = GradedPoly.one(gens)
-        return ((one + x * x) ** (d.ell + 1)
-                * (one + (d.rho * x + y) ** 2) ** d.k1
-                * (one + y * y) ** d.k2)
-    one = GradedPoly.one(gens)
-    return (one + x * x) ** (d.ell + 1) * (one + d.rho * d.rho * x * x) ** d.k1
+        return [(one + x * x, d.ell + 1),
+                (one + (d.rho * x + y) ** 2, d.k1),
+                (one + y * y, d.k2)]
+    return [(one + x * x, d.ell + 1), (one + d.rho * d.rho * x * x, d.k1)]
 
 
-def _stiefel_whitney_product(d: ManifoldDescriptor, gens,
-                             domain: Domain = Domain.MOD2) -> GradedPoly:
-    """Product formula for the total Stiefel-Whitney class.
-
-    Computed over the requested domain so tests can cross-check the native
-    mod-2 product against the reduced integer expansion.
-    """
+def _stiefel_whitney_factors(d: ManifoldDescriptor, gens,
+                             domain: Domain = Domain.MOD2) -> list[tuple[GradedPoly, int]]:
+    """The total Stiefel-Whitney class as prod p ** e over the listed (p, e)."""
     x = GradedPoly.generator(gens, "x", domain)
     one = GradedPoly.one(gens, domain)
     if d.family == "A":
         y = GradedPoly.generator(gens, "y", domain)
-        return ((one + x) ** (d.ell + 1)
-                * (one + d.rho * x + y) ** d.k1
-                * (one + y) ** d.k2)
-    return (one + x) ** (d.ell + 1) * (one + d.rho * x) ** d.k1
+        return [(one + x, d.ell + 1), (one + d.rho * x + y, d.k1), (one + y, d.k2)]
+    return [(one + x, d.ell + 1), (one + d.rho * x, d.k1)]
+
+
+def _pontrjagin_product(d: ManifoldDescriptor, gens) -> GradedPoly:
+    """Product formula for the total Pontrjagin class, expanded in the free ring."""
+    return math.prod(p ** e for p, e in _pontrjagin_factors(d, gens))
+
+
+def _stiefel_whitney_product(d: ManifoldDescriptor, gens,
+                             domain: Domain = Domain.MOD2) -> GradedPoly:
+    """Product formula for the total Stiefel-Whitney class, expanded in the
+    free ring.
+
+    Computed over the requested domain so tests can cross-check the native
+    mod-2 product against the reduced integer expansion.
+    """
+    return math.prod(p ** e for p, e in _stiefel_whitney_factors(d, gens, domain))
 
 
 def pontrjagin(d: ManifoldDescriptor) -> NormalElement:
     """Total Pontrjagin class, reduced to normal form in cohomology(d)."""
     P = cohomology(d)
-    return normal_form(_pontrjagin_product(d, P.gens), P)
+    return reduced_product(_pontrjagin_factors(d, P.gens), P)
 
 
 def stiefel_whitney(d: ManifoldDescriptor) -> NormalElement:
     """Total Stiefel-Whitney class in the mod-2 cohomology presentation."""
     P2 = presentation_mod2(cohomology(d))
-    return normal_form(_stiefel_whitney_product(d, P2.gens), P2)
+    return reduced_product(_stiefel_whitney_factors(d, P2.gens), P2)
 
 
 def report(d: ManifoldDescriptor) -> CharClassReport:

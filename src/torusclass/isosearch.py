@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from torusclass.intpoly import Domain, GradedPoly, substitute
-from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
-                                 evaluate_hom, graded_ranks, monomial_basis,
-                                 normal_form, presentation_mod2)
+from torusclass.intpoly import Domain, GradedPoly
+from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
+                                 canonicalize, evaluate_hom, graded_ranks,
+                                 monomial_basis, normal_form, presentation_mod2)
 
 
 @dataclass
@@ -413,23 +413,38 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
         if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
             return False
 
-    x_rel = GradedPoly.generator(P1.gens, P1.x_name) ** (P1.ell + 1)
-    for rel in (x_rel, P1.relation):
-        if not normal_form(substitute(rel, images), P2).is_zero():
-            return False
+    # images of x^a w^b in P2, each extended from the previous power by one factor
+    core = TruncatedProducts(P2)
+    xi = normal_form(images[P1.x_name], P2).poly
+    wi = normal_form(images[P1.w_name], P2).poly
+    ell1, D1 = P1.ell, P1.w_exponent
+    x_powers = [core.one]
+    for _ in range(ell1 + 1):
+        x_powers.append(core.mul(x_powers[-1], xi))
+    if not x_powers[-1].is_zero():
+        return False
+    mono: dict[tuple[int, int], GradedPoly] = {}
+    for a in range(ell1 + 1):
+        mono[(a, 0)] = x_powers[a]
+        for b in range(1, D1 + 1 if a == 0 else D1):
+            mono[(a, b)] = core.mul(mono[(a, b - 1)], wi)
+    # x^(l1+1) maps to zero, so relation terms beyond it do too
+    rel_image = P2.zero()
+    for (a, b), c in P1.relation.terms.items():
+        if a <= ell1:
+            rel_image = rel_image + mono[(a, b)] * c
+    if not rel_image.is_zero():
+        return False
 
     if graded_ranks(P1) != graded_ranks(P2):
         return False
     basis2 = monomial_basis(P2)
     index2 = {e: i for i, e in enumerate(basis2)}
     by_degree: dict[int, list[list[int]]] = {}
-    xi = images[P1.x_name]
-    wi = images[P1.w_name]
     for a, b in monomial_basis(P1):
         deg = 2 * a + P1.w_degree * b
-        img = normal_form(xi ** a * wi ** b, P2).poly
         row = [0] * len(basis2)
-        for e, c in img.terms.items():
+        for e, c in mono[(a, b)].terms.items():
             row[index2[e]] = c
         by_degree.setdefault(deg, []).append(row)
     for deg, rows in by_degree.items():
@@ -615,10 +630,8 @@ def _iso_candidates_univariate(P1, P2, preserve):
     for eps1 in (1, -1):
         ximg = GradedPoly(P2.gens, {(1, 0): eps1})
         # w1 is congruent to -(f1 - w1); push that expression through x -> eps1 x
-        expr = -w1_rest
-        mapped = substitute(expr, {P1.x_name: ximg,
-                                   P1.w_name: GradedPoly.zero(P2.gens)})
-        wimg = normal_form(mapped, P2).poly
+        wimg = evaluate_hom({P1.x_name: ximg, P1.w_name: GradedPoly.zero(P2.gens)},
+                            -w1_rest, P2).poly
         witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
                              params={"eps": eps1})
         if verify_iso(witness) and _passes(witness, preserve):

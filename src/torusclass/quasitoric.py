@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor
 from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
-                                 normal_form, presentation_mod2)
+                                 presentation_mod2, reduced_product)
 
 _BLOCK_LETTERS = "vwusrq"
 
@@ -297,24 +297,18 @@ def char_matrix_for(d: ManifoldDescriptor) -> CharMatrix:
 def dj_characteristic_classes(cm: CharMatrix) -> tuple[NormalElement, NormalElement]:
     """Total Pontrjagin and Stiefel-Whitney classes from the facet data.
 
-    Substitutes the elimination images into prod(1 + v_i^2) and, mod 2,
-    prod(1 + v_i), then reduces to normal form in the eliminated ring.
+    Multiplies out prod(1 + v_i^2) and, mod 2, prod(1 + v_i) over the
+    elimination images of the v_i, in the eliminated ring.
     """
     fr = face_ring(cm.blocks)
     forms = linear_ideal(cm)
     pres, images = _eliminate_full(fr, forms)
 
     one = GradedPoly.one(pres.gens)
-    p_prod = one
-    for nm, _ in fr.generators:
-        img = images[nm]
-        p_prod = p_prod * (one + img * img)
-    p = normal_form(p_prod, pres)
+    p = reduced_product([(one + images[nm] * images[nm], 1) for nm, _ in fr.generators], pres)
 
     pres2 = presentation_mod2(pres)
     one2 = GradedPoly.one(pres2.gens, Domain.MOD2)
-    w_prod = one2
-    for nm, _ in fr.generators:
-        w_prod = w_prod * (one2 + images[nm].reduce_mod2())
-    w = normal_form(w_prod, pres2)
+    w = reduced_product([(one2 + images[nm].reduce_mod2(), 1) for nm, _ in fr.generators],
+                        pres2)
     return p, w

@@ -5,6 +5,9 @@ relation f is monic in w, homogeneous, with coefficients that are
 polynomials in x.  Division by f (monic in w) followed by truncation in x
 is a complete, confluent reduction, so every coset has a unique normal
 form on the monomial basis x^a w^b, a <= l, b <= D-1.
+
+Products of normal forms go through ``TruncatedProducts``, which reduces
+as it multiplies, so no intermediate result grows past the basis.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from torusclass.intpoly import Domain, GradedPoly, substitute
+from torusclass.intpoly import Domain, GradedPoly
 
 
 class RingPresentation:
@@ -168,7 +171,101 @@ def normal_form(p: GradedPoly, P: RingPresentation) -> NormalElement:
         for (i, j), d in low.items():
             e = (a + i, b - D + j)
             work[e] = work.get(e, 0) + c * d
-    return NormalElement(P, GradedPoly(P.gens, out, P.domain))
+    return NormalElement(P, p._clean(out))
+
+
+class TruncatedProducts:
+    """Multiplication of normal forms in one presentation, reduced as it goes.
+
+    Operands and results are normal forms over the presentation's
+    generators.  A product never forms a monomial with x-exponent above l,
+    and rewrites x^a w^b by x^a times the normal form of w^b only once b
+    reaches D; those normal forms are cached per instance.
+    """
+
+    def __init__(self, P: RingPresentation):
+        self.P = P
+        self.one = P.one()
+        self.ell = P.ell
+        self.D = D = P.w_exponent
+        # terms of the normal forms of w^(D+k), k = 0, 1, ..., in increasing
+        # x-exponent; w^D is congruent to -(f - w^D)
+        w_D = {e: -c for e, c in P.relation.terms.items() if e != (0, D) and e[0] <= self.ell}
+        self._tails = [sorted(self.one._clean(w_D).terms.items())]
+
+    def _tail(self, k: int) -> list[tuple[tuple[int, int], int]]:
+        while len(self._tails) <= k:
+            self._tails.append(sorted(self._mul(dict(self._tails[-1]), {(0, 1): 1}).items()))
+        return self._tails[k]
+
+    def _mul(self, f: dict, g: dict) -> dict:
+        ell, D = self.ell, self.D
+        low: dict[tuple[int, int], int] = {}
+        high: dict[tuple[int, int], int] = {}
+        g_items = sorted(g.items())
+        for (a1, b1), c1 in f.items():
+            room = ell - a1
+            for (a2, b2), c2 in g_items:
+                if a2 > room:
+                    break
+                key = (a1 + a2, b1 + b2)
+                acc = low if key[1] < D else high
+                acc[key] = acc.get(key, 0) + c1 * c2
+        for (a, b), c in high.items():
+            if not c:
+                continue
+            room = ell - a
+            for (i, j), d in self._tail(b - D):
+                if i > room:
+                    break
+                key = (a + i, j)
+                low[key] = low.get(key, 0) + c * d
+        return self.one._clean(low).terms
+
+    def mul(self, p: GradedPoly, q: GradedPoly) -> GradedPoly:
+        """Normal form of p * q."""
+        return GradedPoly._trusted(self.P.gens, self._mul(p.terms, q.terms), self.P.domain)
+
+    def power(self, p: GradedPoly, e: int) -> GradedPoly:
+        """Normal form of p ** e, as the binomial series
+        sum_i C(e, i) c^(e-i) h^i with c the constant term of p and h = p - c.
+
+        h is nilpotent, so the series stops at the first h^i that vanishes;
+        for h = x^2 each step multiplies single monomials.
+        """
+        if e < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
+        c = p.constant_term
+        h = {k: v for k, v in p.terms.items() if k != (0, 0)}
+        out: dict[tuple[int, int], int] = {}
+        h_i, binom = {(0, 0): 1}, 1
+        for i in range(e + 1):
+            k = binom * c ** (e - i)
+            if k:
+                for key, v in h_i.items():
+                    out[key] = out.get(key, 0) + k * v
+            if i == e:
+                break
+            h_i = self._mul(h_i, h)
+            if not h_i:
+                break
+            binom = binom * (e - i) // (i + 1)
+        return self.one._clean(out)
+
+
+def reduced_product(factors, P: RingPresentation) -> NormalElement:
+    """Normal form of prod p ** e over the (p, e) in `factors`.
+
+    Each p is any polynomial over P's generators and domain; it is reduced
+    first, raised by its binomial series and multiplied in, smallest first.
+    """
+    core = TruncatedProducts(P)
+    series = sorted((core.power(normal_form(p, P).poly, e) for p, e in factors),
+                    key=lambda s: len(s.terms))
+    result = core.one
+    for s in series:
+        result = core.mul(result, s)
+    return NormalElement(P, result)
 
 
 def ring_equal(p: GradedPoly, q: GradedPoly, P: RingPresentation) -> bool:
@@ -205,7 +302,8 @@ def evaluate_hom(images: Mapping[str, GradedPoly], p: GradedPoly,
     """Substitute generator images into p and reduce in the target ring.
 
     Each image must be homogeneous of its generator's degree (zero counts
-    as homogeneous of any degree).
+    as homogeneous of any degree).  Powers of the images are built one
+    factor at a time in the target ring and shared between the terms of p.
     """
     for name, deg in p.gens:
         img = images.get(name)
@@ -213,4 +311,17 @@ def evaluate_hom(images: Mapping[str, GradedPoly], p: GradedPoly,
             raise ValueError(f"no image for generator {name!r}")
         if not img.is_homogeneous(deg):
             raise ValueError(f"image of {name!r} is not homogeneous of degree {deg}")
-    return normal_form(substitute(p, images), target)
+    core = TruncatedProducts(target)
+    powers = {name: [core.one, normal_form(images[name], target).poly] for name, _ in p.gens}
+    total: dict[tuple[int, int], int] = {}
+    for exps, coef in p.terms.items():
+        term = core.one
+        for (name, _), e in zip(p.gens, exps):
+            if e:
+                ladder = powers[name]
+                while len(ladder) <= e:
+                    ladder.append(core.mul(ladder[-1], ladder[1]))
+                term = core.mul(term, ladder[e])
+        for key, c in term.terms.items():
+            total[key] = total.get(key, 0) + coef * c
+    return NormalElement(target, core.one._clean(total))

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 import torusclass.classify as classify
 from torusclass.cli import main
@@ -126,6 +127,24 @@ def test_oracle_iso_env_bound(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["bound"] == 7
     assert payload["status"] == "found"
+
+
+def test_oracle_iso_rejects_bound_below_one(capsys):
+    code = main(["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"])
+    assert code == 1
+    assert "--bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+@pytest.mark.parametrize("command", ["compare", "oracle-iso"])
+def test_bad_env_bound_is_usage_error(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("TORUSCLASS_ORACLE_BOUND", value)
+    code = main([command, "A(2,1,1,1)", "A(2,-1,1,1)"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: TORUSCLASS_ORACLE_BOUND must be an integer >= 1, "
+                            f"got {value!r}\n")
 
 
 # --- table -------------------------------------------------------------------------------

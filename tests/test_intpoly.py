@@ -172,6 +172,12 @@ def polys(domain=Domain.INT):
         lambda t: GradedPoly(XY, t, domain))
 
 
+def rebuilt_identically(*results):
+    """Every result equals its revalidation by the public constructor, term
+    for term: no zero coefficient, no unreduced mod-2 coefficient."""
+    return all(GradedPoly(r.gens, r.terms, r.domain).terms == r.terms for r in results)
+
+
 @given(polys(), polys(), polys())
 def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
@@ -179,6 +185,7 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
+    assert rebuilt_identically(p + q, p - p, p - q, -p, p * q, (p * q) * r, 3 * p, 0 * p)
 
 
 @given(polys(), st.integers(0, 8))
@@ -187,12 +194,15 @@ def test_pow_matches_repeated_mul(p, e):
     for _ in range(e):
         expected = expected * p
     assert p ** e == expected
+    assert rebuilt_identically(p ** e, expected)
 
 
 @given(polys(), polys())
 def test_reduce_mod2_is_ring_hom(p, q):
     assert (p * q).reduce_mod2() == p.reduce_mod2() * q.reduce_mod2()
     assert (p + q).reduce_mod2() == p.reduce_mod2() + q.reduce_mod2()
+    p2, q2 = p.reduce_mod2(), q.reduce_mod2()
+    assert rebuilt_identically(p2 + q2, p2 + p2, -p2, p2 * q2, 3 * p2, 2 * p2, p2 ** 3)
 
 
 @given(polys())

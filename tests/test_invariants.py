@@ -1,11 +1,13 @@
+import time
+
 import pytest
 
 from conftest import grid_descriptors
 from torusclass.intpoly import Domain
 from torusclass.invariants import (CharClassReport, DescriptorError,
-                                   ManifoldDescriptor, _stiefel_whitney_product,
-                                   cohomology, dimension, pontrjagin, report,
-                                   stiefel_whitney)
+                                   ManifoldDescriptor, _pontrjagin_product,
+                                   _stiefel_whitney_product, cohomology, dimension,
+                                   pontrjagin, report, stiefel_whitney)
 from torusclass.quotient import evaluate_hom, normal_form, presentation_mod2
 
 A = lambda *a: ManifoldDescriptor("A", *a)
@@ -127,6 +129,16 @@ def test_report_trivial_bundle():
     assert r.pontrjagin.poly == r.pontrjagin.presentation.one()
 
 
+def test_large_descriptor_report_is_fast():
+    # l = 2000: the class products must be truncated as they form
+    start = time.perf_counter()
+    r = report(ManifoldDescriptor.parse("A(2000,3,2,2)"))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"report took {elapsed:.2f} s"
+    assert r.pontrjagin.constant_term == 1
+    assert r.stiefel_whitney.constant_term == 1
+
+
 # --- cross-checks over a grid ------------------------------------------------------
 
 GRID = grid_descriptors(4, 4, 3)
@@ -138,6 +150,16 @@ def test_mod2_consistency_on_grid():
         P2 = presentation_mod2(cohomology(d))
         via_int = _stiefel_whitney_product(d, P2.gens, Domain.INT).reduce_mod2()
         assert stiefel_whitney(d) == normal_form(via_int, P2)
+
+
+def test_classes_match_full_expansion():
+    # the truncating product core against normal_form of the free-ring expansion
+    large = [ManifoldDescriptor.parse(t) for t in ("A(60,3,2,2)", "A(3,4,8,8)", "B(40,3,2,0)")]
+    for d in GRID + large:
+        P = cohomology(d)
+        P2 = presentation_mod2(P)
+        assert pontrjagin(d) == normal_form(_pontrjagin_product(d, P.gens), P), d
+        assert stiefel_whitney(d) == normal_form(_stiefel_whitney_product(d, P2.gens), P2), d
 
 
 def test_rho_sign_symmetry_of_pontrjagin():

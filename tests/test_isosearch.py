@@ -3,11 +3,13 @@ import itertools
 import pytest
 
 from conftest import grid_descriptors
+from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
 from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchConfig,
                                   check_preserves, default_bound, find_iso,
                                   iter_isos, verify_iso)
+from torusclass.quotient import RingPresentation
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)
@@ -41,6 +43,17 @@ def test_degree_mismatch_is_definite_no():
     # same total rank 8, different gradings
     res = find_iso(ring(B(3, 0, 2, 0)), ring(B(1, 0, 1, 3)))
     assert res.status == NO_ISO
+
+
+def test_univariate_presentations_isomorphic():
+    # w + 2x^2 and w - 5x^2 (deg w = 4) both give Z[x]/<x^4>; w must go to
+    # the image of its own value -2x^2
+    gens = (("x", 2), ("w", 4))
+    P1 = RingPresentation("x", "w", 4, 3, GradedPoly(gens, {(0, 1): 1, (2, 0): 2}))
+    P2 = RingPresentation("x", "w", 4, 3, GradedPoly(gens, {(0, 1): 1, (2, 0): -5}))
+    res = find_iso(P1, P2)
+    assert res.found and res.witness.verified
+    assert res.witness.images["w"] == GradedPoly(gens, {(2, 0): -2})
 
 
 # --- degree-2 pairs (Hirzebruch-type checks, hand-verified witnesses) -----------
@@ -105,6 +118,14 @@ def test_verify_rejects_broken_relation():
     P2 = ring(B(3, 1, 2, 0))
     w = IsoWitness(P1, P2, {"x": P2.x(), "z": P2.w()})
     assert not verify_iso(w, P1, P2)
+
+
+def test_verify_rejects_non_nilpotent_x_image():
+    # in Z[x,y]/<x^2, y^2>, x -> x + y, y -> y carries y^2 to 0 and is
+    # unimodular on the basis, but (x + y)^2 = 2xy, so x^2 = 0 is not respected
+    P = ring(A(1, 0, 1, 1))
+    w = IsoWitness(P, P, {"x": P.x() + P.w(), "y": P.w()})
+    assert not verify_iso(w, P, P)
 
 
 def test_verify_rejects_non_unimodular():

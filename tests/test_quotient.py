@@ -3,10 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusclass.intpoly import Domain, GradedPoly
-from torusclass.quotient import (RingPresentation, additive_rank,
+from torusclass.quotient import (RingPresentation, TruncatedProducts, additive_rank,
                                  canonicalize, evaluate_hom, graded_ranks,
                                  monomial_basis, normal_form, presentation_mod2,
-                                 ring_equal)
+                                 reduced_product, ring_equal)
 
 
 def sphere_pres(ell, rho, k1):
@@ -204,6 +204,42 @@ def test_normal_form_lands_on_basis(data):
     nf = normal_form(p, P)
     basis = set(monomial_basis(P))
     assert all(e in basis for e in nf.poly.terms)
+
+
+# --- the truncating product core against full expansion ------------------------------
+
+@st.composite
+def presentation_and_factors(draw):
+    """A random canonical presentation, over Z or F2, with a relation monic
+    of w-degree D, and up to three factors (p, e) whose constant terms are
+    arbitrary."""
+    half = draw(st.integers(1, 3))  # deg w = 2 * half
+    ell = draw(st.integers(0, 4))
+    D = draw(st.integers(1, 3))
+    gens = (("x", 2), ("w", 2 * half))
+    rel = {(0, D): 1}
+    for j in range(D):
+        rel[(half * (D - j), j)] = draw(coef)
+    P = canonicalize(RingPresentation("x", "w", 2 * half, ell, GradedPoly(gens, rel)))
+    if draw(st.booleans()):
+        P = presentation_mod2(P)
+    factor_exps = st.tuples(st.integers(0, 6), st.integers(0, 4))
+    factors = draw(st.lists(
+        st.tuples(st.dictionaries(factor_exps, coef, max_size=4).map(P.poly),
+                  st.integers(0, 7)),
+        max_size=3))
+    return P, factors
+
+
+@given(presentation_and_factors())
+def test_truncated_power_and_product_match_full_expansion(data):
+    P, factors = data
+    core = TruncatedProducts(P)
+    expanded = P.one()
+    for p, e in factors:
+        assert core.power(normal_form(p, P).poly, e) == normal_form(p ** e, P).poly
+        expanded = expanded * p ** e
+    assert reduced_product(factors, P) == normal_form(expanded, P)
 
 
 def test_mod2_presentation():
