@@ -9,12 +9,17 @@ Two modes:
 
 * ``enum``  - literal brute force over images with coefficients in
   [-bound, bound]; exhaustion without a witness is *indeterminate*.
-* ``exact`` - algebraic solve.  Candidate images of the degree-2 generator
-  are the rational direction roots of the nilpotency forms; the second
-  image runs over the integer line of unimodular completions, where the
-  relation conditions become univariate integer polynomials whose roots
-  are found exactly.  Exhaustion here is a definite "no isomorphism".
+* ``exact`` - solve along a line.  The image X of x is fixed first: a
+  rational direction root of the nilpotency forms of (p x + q w)^(l+1)
+  when w has degree 2, and +-x otherwise.  The image of w then runs along
+  a line W0 + tU, with U = X in degree 2 and U = x^d in degree 2d, so
+  x^a w^b goes to sum_k C(b, k) t^k X^a U^k W0^(b-k).  The relation and
+  every preserved integer class become integer polynomials in t alone,
+  whose integer roots are found exactly; preserved mod-2 classes keep
+  the roots at which their polynomials are even.  Exhaustion here is a
+  definite "no isomorphism".
 
+Every product in the target ring goes through ``TruncatedProducts``.
 Both modes verify every candidate before reporting it (relations map to
 zero and every graded component transforms by a matrix of determinant
 +-1), so a returned witness is always sound.
@@ -22,6 +27,7 @@ zero and every graded component transforms by a matrix of determinant
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +35,7 @@ from fractions import Fraction
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form, presentation_mod2)
+                                 monomial_basis, normal_form)
 
 
 @dataclass
@@ -77,16 +83,6 @@ class IsoSearchResult:
     @property
     def definite(self) -> bool:
         return self.status in (FOUND, NO_ISO)
-
-
-def default_bound(P1: RingPresentation, P2: RingPresentation) -> int:
-    """Window comfortably containing the solved coefficients of all known
-    witness families: twice the largest relation coefficient, plus slack."""
-    big = 2
-    for P in (P1, P2):
-        for c in P.relation.terms.values():
-            big = max(big, abs(c))
-    return 2 * big + 2
 
 
 # --------------------------------------------------------------------------
@@ -275,126 +271,98 @@ def _rational_roots(u: list[int]) -> list[Fraction]:
 
 
 # --------------------------------------------------------------------------
-# parametric elements of the target quotient
-#
-# A parametric element is a map {basis monomial (i, j) -> coefficient},
-# where coefficients are sparse integer polynomials in the search
-# parameters, stored as {exponent tuple -> int}.
+# images of monomials along a line
 
 
-def _pp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
+class _Monomials:
+    """Normal forms of X^i W^j in one target ring for fixed images X, W.
+
+    Each is formed from a cached neighbour, X^(i-1) or X^i W^(j-1), by one
+    product in the target's ``TruncatedProducts``.
+    """
+
+    def __init__(self, core: TruncatedProducts, X: GradedPoly, W: GradedPoly):
+        self.core = core
+        self.X = normal_form(X, core.P).poly
+        self.W = normal_form(W, core.P).poly
+        self.cache = {(0, 0): core.one}
+
+    def nf(self, i: int, j: int) -> GradedPoly:
+        cache, mul = self.cache, self.core.mul
+        if (i, j) not in cache:
+            a = i
+            while (a, 0) not in cache:
+                a -= 1
+            for a in range(a, i):
+                cache[(a + 1, 0)] = mul(cache[(a, 0)], self.X)
+            b = j
+            while (i, b) not in cache:
+                b -= 1
+            for b in range(b, j):
+                cache[(i, b + 1)] = mul(cache[(i, b)], self.W)
+        return cache[(i, j)]
+
+
+def _line_image(g: GradedPoly, mono: _Monomials, s: int, e: int) -> dict:
+    """Image of g under x -> X, w -> W0 + t s X^e, as {basis monomial ->
+    coefficient list in t}, where mono holds the powers of X and W0.
+
+    x^a w^b goes to sum_k C(b, k) s^k X^(a+ek) W0^(b-k) t^k; the sum stops
+    at the first power of X that vanishes.
+    """
+    out: dict[tuple[int, int], list[int]] = {}
+    for (a, b), c in g.terms.items():
+        coef = c
+        for k in range(b + 1):
+            if mono.nf(a + e * k, 0).is_zero():
+                break
+            for key, v in mono.nf(a + e * k, b - k).terms.items():
+                u = out.setdefault(key, [])
+                u.extend([0] * (k + 1 - len(u)))
+                u[k] += coef * v
+            coef = coef * s * (b - k) // (k + 1)
+    return out
+
+
+def _line_conditions(g: GradedPoly, target: dict, mono: _Monomials, s: int, e: int) -> list:
+    """Coefficient lists in t whose common roots send g to the element
+    with basis coefficients `target`."""
+    image = _line_image(g, mono, s, e)
+    for key, c in target.items():
+        image.setdefault(key, [0])[0] -= c
+    return list(image.values())
+
+
+def _line_solutions(P1, preserve, mono: _Monomials, s: int, e: int) -> list[int]:
+    """Integer t for which x -> X, w -> W0 + t s X^e kills the relation of
+    P1 and carries each preserved class to its partner.
+
+    Mod-2 classes are lifted to integers and only filter: their conditions
+    must vanish mod 2.  When the integer conditions are vacuous, the parity
+    representatives 0 and 1 stand for the whole line.
+    """
+    sys_int = _line_conditions(P1.relation, {}, mono, s, e)
+    sys_mod2 = []
+    for c1, c2 in preserve:
+        if c1.poly.domain is Domain.MOD2:
+            sys_mod2 += _line_conditions(c1.poly.lift_to_int(), c2.poly.terms, mono, s, e)
         else:
-            out.pop(k, None)
-    return out
+            sys_int += _line_conditions(c1.poly, c2.poly.terms, mono, s, e)
 
+    def mod2_ok(t):
+        return all(_ueval(u, t) % 2 == 0 for u in sys_mod2)
 
-def _pp_scale(a: dict, c: int) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _pp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _pp_const(c: int, nparams: int) -> dict:
-    return {(0,) * nparams: c} if c else {}
-
-
-def _pp_to_univariate(pp: dict) -> list[int]:
-    u = [0] * (1 + max((k[0] for k in pp), default=0))
-    for (e,), c in pp.items():
-        u[e] = c
-    return u
-
-
-def _pp_parity_value(pp: dict, parity: int) -> int:
-    """Value mod 2 at any integer of the given parity (single parameter)."""
-    total = 0
-    for (e,), c in pp.items():
-        total += c * (parity if e else 1)
-    return total % 2
-
-
-class _Table:
-    """Cached normal forms of monomials x^i w^j in a fixed presentation."""
-
-    def __init__(self, P: RingPresentation):
-        self.P = P
-        self.cache: dict[tuple[int, int], dict] = {}
-
-    def nf(self, i: int, j: int) -> dict:
-        key = (i, j)
-        if key not in self.cache:
-            mono = GradedPoly.monomial(self.P.gens, (i, j))
-            self.cache[key] = dict(normal_form(mono, self.P).poly.terms)
-        return self.cache[key]
-
-
-def _pe_build(parts, table: _Table) -> dict:
-    """Parametric element from [(monomial (i,j), param poly), ...], normal formed."""
-    out: dict = {}
-    for (i, j), pp in parts:
-        for basis, k in table.nf(i, j).items():
-            merged = _pp_add(out.get(basis, {}), _pp_scale(pp, k))
-            if merged:
-                out[basis] = merged
-            else:
-                out.pop(basis, None)
-    return out
-
-
-def _pe_mul(e1: dict, e2: dict, table: _Table) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in e1.items():
-        for (i2, j2), c2 in e2.items():
-            cc = _pp_mul(c1, c2)
-            if not cc:
-                continue
-            for basis, k in table.nf(i1 + i2, j1 + j2).items():
-                merged = _pp_add(out.get(basis, {}), _pp_scale(cc, k))
-                if merged:
-                    out[basis] = merged
-                else:
-                    out.pop(basis, None)
-    return out
-
-
-def _pe_eval(poly: GradedPoly, x_elt: dict, w_elt: dict, table: _Table, nparams: int) -> dict:
-    """Parametric image of a source polynomial under generator images."""
-    out: dict = {}
-    xpow = [{(0, 0): _pp_const(1, nparams)}]
-    wpow = [{(0, 0): _pp_const(1, nparams)}]
-
-    def power(cache, elt, e):
-        while len(cache) <= e:
-            cache.append(_pe_mul(cache[-1], elt, table))
-        return cache[e]
-
-    for (i, j), c in poly.terms.items():
-        term = _pe_mul(power(xpow, x_elt, i), power(wpow, w_elt, j), table)
-        for basis, pp in term.items():
-            merged = _pp_add(out.get(basis, {}), _pp_scale(pp, c))
-            if merged:
-                out[basis] = merged
-            else:
-                out.pop(basis, None)
-    return out
+    nonzero = [u for u in map(_trim, sys_int) if u]
+    if not nonzero:
+        return [t for t in (0, 1) if mod2_ok(t)]
+    g = nonzero[0]
+    for u in nonzero[1:]:
+        g = _poly_gcd(g, u)
+        if len(g) == 1:
+            return []
+    good = [t for t in _int_roots(g)
+            if all(_ueval(u, t) == 0 for u in nonzero) and mod2_ok(t)]
+    return sorted(good, key=lambda t: (abs(t), t))
 
 
 # --------------------------------------------------------------------------
@@ -413,26 +381,15 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
         if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
             return False
 
-    # images of x^a w^b in P2, each extended from the previous power by one factor
-    core = TruncatedProducts(P2)
-    xi = normal_form(images[P1.x_name], P2).poly
-    wi = normal_form(images[P1.w_name], P2).poly
-    ell1, D1 = P1.ell, P1.w_exponent
-    x_powers = [core.one]
-    for _ in range(ell1 + 1):
-        x_powers.append(core.mul(x_powers[-1], xi))
-    if not x_powers[-1].is_zero():
+    mono = _Monomials(TruncatedProducts(P2), images[P1.x_name], images[P1.w_name])
+    ell1 = P1.ell
+    if not mono.nf(ell1 + 1, 0).is_zero():
         return False
-    mono: dict[tuple[int, int], GradedPoly] = {}
-    for a in range(ell1 + 1):
-        mono[(a, 0)] = x_powers[a]
-        for b in range(1, D1 + 1 if a == 0 else D1):
-            mono[(a, b)] = core.mul(mono[(a, b - 1)], wi)
     # x^(l1+1) maps to zero, so relation terms beyond it do too
     rel_image = P2.zero()
     for (a, b), c in P1.relation.terms.items():
         if a <= ell1:
-            rel_image = rel_image + mono[(a, b)] * c
+            rel_image = rel_image + mono.nf(a, b) * c
     if not rel_image.is_zero():
         return False
 
@@ -444,7 +401,7 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
     for a, b in monomial_basis(P1):
         deg = 2 * a + P1.w_degree * b
         row = [0] * len(basis2)
-        for e, c in mono[(a, b)].terms.items():
+        for e, c in mono.nf(a, b).terms.items():
             row[index2[e]] = c
         by_degree.setdefault(deg, []).append(row)
     for deg, rows in by_degree.items():
@@ -475,149 +432,103 @@ def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement) -
     return evaluate_hom(lifted, c1.poly, target) == c2
 
 
-# --------------------------------------------------------------------------
-# constraint assembly shared by the exact paths
+def _accepted(witness, preserve) -> bool:
+    return verify_iso(witness) and all(check_preserves(witness, c1, c2)
+                                       for c1, c2 in preserve)
 
 
-def _preserve_systems(preserve, x_elt, w_elt, table, nparams):
-    """Parametric conditions phi(c1) = c2, split into integer and mod-2 ones."""
-    sys_int, sys_mod2 = [], []
-    for c1, c2 in preserve:
-        mod2 = c1.poly.domain is Domain.MOD2
-        src = c1.poly.lift_to_int() if mod2 else c1.poly
-        tgt = c2.poly
-        image = _pe_eval(src, x_elt, w_elt, table, nparams)
-        keys = set(image) | set(tgt.terms)
-        for basis in keys:
-            pp = _pp_add(image.get(basis, {}), _pp_const(-tgt.terms.get(basis, 0), nparams))
-            (sys_mod2 if mod2 else sys_int).append(pp)
-    return sys_int, sys_mod2
+def _matrix_witness(P1, P2, alpha, gamma, beta, delta) -> IsoWitness:
+    """x -> alpha x + beta w, w -> gamma x + delta w (both of degree 2)."""
+    images = {P1.x_name: GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta}),
+              P1.w_name: GradedPoly(P2.gens, {(1, 0): gamma, (0, 1): delta})}
+    return IsoWitness(P1, P2, images, params={"matrix": ((alpha, gamma), (beta, delta))})
 
 
-def _solve_t_system(sys_int, sys_mod2) -> list[int]:
-    """Integer parameter values satisfying all conditions; when the integer
-    system is vacuous, parity representatives satisfying the mod-2 part."""
-    units = [_pp_to_univariate(pp) for pp in sys_int]
-    nonzero = [u for u in units if _trim(u[:])]
-
-    def mod2_ok(t):
-        return all(_pp_parity_value(pp, abs(t) % 2) == 0 for pp in sys_mod2)
-
-    if not nonzero:
-        return [t for t in (0, 1) if mod2_ok(t)]
-    g = nonzero[0]
-    for u in nonzero[1:]:
-        g = _poly_gcd(g, u)
-        if len(g) == 1:
-            return []
-    cands = _int_roots(g) if g else []
-    good = [t for t in cands
-            if all(_ueval(u, t) == 0 for u in nonzero) and mod2_ok(t)]
-    return sorted(good, key=lambda t: (abs(t), t))
-
-
-def _nilpotent_directions(P1: RingPresentation, table: _Table) -> list[tuple[int, int]]:
-    """Primitive (p, q) with (p x + q w)^(l1+1) = 0 in the target (both
-    generators of degree 2)."""
-    nparams = 2
-    u_elt = _pe_build([((1, 0), {(1, 0): 1}), ((0, 1), {(0, 1): 1})], table)
-    power = {(0, 0): _pp_const(1, nparams)}
-    for _ in range(P1.ell + 1):
-        power = _pe_mul(power, u_elt, table)
-    forms = [pp for pp in power.values() if pp]
-    if not forms:
-        raise ValueError("degenerate target: every degree-2 element is nilpotent "
-                         "of the required order")
-    dirs: set[tuple[int, int]] = set()
-    univariates = []
-    include_10 = True
-    for pp in forms:
-        n = max(i + j for i, j in pp)
-        if pp.get((n, 0), 0):
-            include_10 = False
-        univariates.append(_trim([pp.get((i, n - i), 0) for i in range(n + 1)]))
-    if include_10:
-        dirs.add((1, 0))
-    univariates = [u for u in univariates if u]
-    if univariates:
-        g = univariates[0]
-        for u in univariates[1:]:
-            g = _poly_gcd(g, u)
-            if len(g) == 1:
-                break
-        if len(g) > 1:
-            for root in _rational_roots(g):
-                p, q = root.numerator, root.denominator
-                dirs.add((p, q))
-    return sorted(dirs)
+def _shear_witness(P1, P2, eps1, a, eps2) -> IsoWitness:
+    """x -> eps1 x, w -> eps2 w + a x^d (w of degree 2d)."""
+    images = {P1.x_name: GradedPoly(P2.gens, {(1, 0): eps1}),
+              P1.w_name: GradedPoly(P2.gens, {(0, 1): eps2, (P1.w_degree // 2, 0): a})}
+    return IsoWitness(P1, P2, images, params={"eps": eps1, "a": a, "eps2": eps2})
 
 
 # --------------------------------------------------------------------------
 # the exact solver, by shape
 
 
+def _nilpotent_directions(P1: RingPresentation, core: TruncatedProducts) -> list[tuple[int, int]]:
+    """Primitive (p, q) with (p x + q w)^(l1+1) = 0 in the target (both
+    generators of degree 2).
+
+    The coefficient of p^i q^(n-i) in (p x + q w)^n is C(n, i) x^i w^(n-i),
+    so each basis coordinate of the power is a binary form in (p, q).
+    """
+    P2 = core.P
+    n = P1.ell + 1
+    gens = _Monomials(core, P2.x(), P2.w())
+    forms: dict[tuple[int, int], list[int]] = {}
+    binom = 1
+    for i in range(n + 1):
+        for key, c in gens.nf(i, n - i).terms.items():
+            forms.setdefault(key, [0] * (n + 1))[i] += binom * c
+        binom = binom * (n - i) // (i + 1)
+    univariates = [u for u in map(_trim, forms.values()) if u]
+    if not univariates:
+        raise ValueError("degenerate target: every degree-2 element is nilpotent "
+                         "of the required order")
+    dirs: set[tuple[int, int]] = set()
+    if all(len(u) <= n for u in univariates):  # no p^n term: x^n = 0
+        dirs.add((1, 0))
+    g = univariates[0]
+    for u in univariates[1:]:
+        g = _poly_gcd(g, u)
+        if len(g) == 1:
+            break
+    if len(g) > 1:
+        for root in _rational_roots(g):
+            dirs.add((root.numerator, root.denominator))
+    return sorted(dirs)
+
+
 def _iso_candidates_deg2(P1, P2, preserve):
-    """Yield verified witnesses when both generators have degree 2."""
-    table = _Table(P2)
-    f1 = P1.relation
-    for p, q in _nilpotent_directions(P1, table):
+    """Yield verified witnesses when both generators have degree 2.
+
+    x goes to a nilpotent direction X = alpha x + beta w, and w to the line
+    W0 + t X of completions to a matrix of determinant +-1.
+    """
+    core = TruncatedProducts(P2)
+    for p, q in _nilpotent_directions(P1, core):
         for sgn in (1, -1):
             alpha, beta = sgn * p, sgn * q
-            x_elt = _pe_build([((1, 0), _pp_const(alpha, 1)),
-                               ((0, 1), _pp_const(beta, 1))], table)
             g, s_a, s_b = _egcd(alpha, beta)
             if abs(g) != 1:
                 continue
             s_a, s_b = s_a * g, s_b * g  # now alpha*s_a + beta*s_b == 1
+            X = GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta})
             for det in (1, -1):
                 gamma0, delta0 = -s_b * det, s_a * det
-                w_elt = _pe_build([((1, 0), {(0,): gamma0, (1,): alpha}),
-                                   ((0, 1), {(0,): delta0, (1,): beta})], table)
-                sys_int = []
-                image = _pe_eval(f1, x_elt, w_elt, table, 1)
-                sys_int.extend(image.values())
-                extra_int, sys_mod2 = _preserve_systems(preserve, x_elt, w_elt, table, 1)
-                sys_int.extend(extra_int)
-                for t in _solve_t_system(sys_int, sys_mod2):
-                    gamma, delta = gamma0 + t * alpha, delta0 + t * beta
-                    images = {
-                        P1.x_name: GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta}),
-                        P1.w_name: GradedPoly(P2.gens, {(1, 0): gamma, (0, 1): delta}),
-                    }
-                    witness = IsoWitness(P1, P2, images,
-                                         params={"matrix": ((alpha, gamma), (beta, delta))})
-                    if verify_iso(witness) and _passes(witness, preserve):
+                W0 = GradedPoly(P2.gens, {(1, 0): gamma0, (0, 1): delta0})
+                for t in _line_solutions(P1, preserve, _Monomials(core, X, W0), 1, 1):
+                    witness = _matrix_witness(P1, P2, alpha, gamma0 + t * alpha,
+                                              beta, delta0 + t * beta)
+                    if _accepted(witness, preserve):
                         yield witness
 
 
 def _iso_candidates_high(P1, P2, preserve):
-    """Yield verified witnesses for a common second-generator degree > 2."""
-    table = _Table(P2)
+    """Yield verified witnesses for a common second-generator degree 2d > 2.
+
+    x goes to X = eps1 x, and w to the line eps2 w + a x^d, where
+    x^d = eps1^d X^d.
+    """
+    core = TruncatedProducts(P2)
     d = P1.w_degree // 2
-    f1 = P1.relation
     for eps1 in (1, -1):
-        x_elt = _pe_build([((1, 0), _pp_const(eps1, 1))], table)
-        x_rel = _pe_eval(GradedPoly.monomial(P1.gens, (P1.ell + 1, 0)),
-                         x_elt, {}, table, 1)
-        if x_rel:
-            continue
+        X = GradedPoly(P2.gens, {(1, 0): eps1})
         for eps2 in (1, -1):
-            w_elt = _pe_build([((d, 0), {(1,): 1}), ((0, 1), _pp_const(eps2, 1))], table)
-            image = _pe_eval(f1, x_elt, w_elt, table, 1)
-            sys_int = list(image.values())
-            extra_int, sys_mod2 = _preserve_systems(preserve, x_elt, w_elt, table, 1)
-            sys_int.extend(extra_int)
-            for a in _solve_t_system(sys_int, sys_mod2):
-                terms = {(0, 1): eps2}
-                if a:
-                    terms[(d, 0)] = a
-                images = {
-                    P1.x_name: GradedPoly(P2.gens, {(1, 0): eps1}),
-                    P1.w_name: GradedPoly(P2.gens, terms),
-                }
-                witness = IsoWitness(P1, P2, images,
-                                     params={"eps": eps1, "a": a, "eps2": eps2})
-                if verify_iso(witness) and _passes(witness, preserve):
+            W0 = GradedPoly(P2.gens, {(0, 1): eps2})
+            for a in _line_solutions(P1, preserve, _Monomials(core, X, W0), eps1 ** d, d):
+                witness = _shear_witness(P1, P2, eps1, a, eps2)
+                if _accepted(witness, preserve):
                     yield witness
 
 
@@ -634,12 +545,21 @@ def _iso_candidates_univariate(P1, P2, preserve):
                             -w1_rest, P2).poly
         witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
                              params={"eps": eps1})
-        if verify_iso(witness) and _passes(witness, preserve):
+        if _accepted(witness, preserve):
             yield witness
 
 
-def _passes(witness, preserve):
-    return all(check_preserves(witness, c1, c2) for c1, c2 in preserve)
+def _exact_candidates(P1, P2, preserve):
+    """Verified witnesses of the exact solver for canonical P1, P2 with
+    equal graded ranks, in its canonical order."""
+    D1, D2 = P1.w_exponent, P2.w_exponent
+    if D1 == 1 and D2 == 1:
+        return _iso_candidates_univariate(P1, P2, preserve)
+    if D1 == 1 or D2 == 1 or P1.w_degree != P2.w_degree:
+        return iter(())
+    if P1.w_degree == 2:
+        return _iso_candidates_deg2(P1, P2, preserve)
+    return _iso_candidates_high(P1, P2, preserve)
 
 
 # --------------------------------------------------------------------------
@@ -654,41 +574,34 @@ def _spiral(bound):
 
 
 def _enum_candidates(P1, P2, preserve, bound):
-    if P1.w_degree == 2 and P2.w_degree == 2:
-        for alpha in _spiral(bound):
-            for beta in _spiral(bound):
-                for gamma in _spiral(bound):
-                    for delta in _spiral(bound):
-                        if abs(alpha * delta - beta * gamma) != 1:
-                            continue
-                        images = {
-                            P1.x_name: GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta}),
-                            P1.w_name: GradedPoly(P2.gens, {(1, 0): gamma, (0, 1): delta}),
-                        }
-                        witness = IsoWitness(P1, P2, images,
-                                             params={"matrix": ((alpha, gamma), (beta, delta))})
-                        if verify_iso(witness) and _passes(witness, preserve):
-                            yield witness
-    elif P1.w_degree == P2.w_degree:
-        d = P1.w_degree // 2
-        for eps1 in (1, -1):
-            for eps2 in (1, -1):
-                for a in _spiral(bound):
-                    terms = {(0, 1): eps2}
-                    if a:
-                        terms[(d, 0)] = a
-                    images = {
-                        P1.x_name: GradedPoly(P2.gens, {(1, 0): eps1}),
-                        P1.w_name: GradedPoly(P2.gens, terms),
-                    }
-                    witness = IsoWitness(P1, P2, images,
-                                         params={"eps": eps1, "a": a, "eps2": eps2})
-                    if verify_iso(witness) and _passes(witness, preserve):
-                        yield witness
+    """Verified witnesses with coefficients in [-bound, bound], for P1, P2
+    whose second generators have the same degree."""
+    if P1.w_degree == 2:
+        for alpha, beta, gamma, delta in itertools.product(_spiral(bound), repeat=4):
+            if abs(alpha * delta - beta * gamma) == 1:
+                witness = _matrix_witness(P1, P2, alpha, gamma, beta, delta)
+                if _accepted(witness, preserve):
+                    yield witness
+    else:
+        for eps1, eps2, a in itertools.product((1, -1), (1, -1), _spiral(bound)):
+            witness = _shear_witness(P1, P2, eps1, a, eps2)
+            if _accepted(witness, preserve):
+                yield witness
 
 
 # --------------------------------------------------------------------------
 # public search
+
+
+def _canonical_pair(P1: RingPresentation, P2: RingPresentation):
+    """Canonical forms of two integer presentations, or None when their
+    graded ranks differ, so that no isomorphism exists."""
+    if P1.domain is not Domain.INT or P2.domain is not Domain.INT:
+        raise ValueError("isomorphism search runs over integer coefficients")
+    P1, P2 = canonicalize(P1), canonicalize(P2)
+    if graded_ranks(P1) != graded_ranks(P2):
+        return None
+    return P1, P2
 
 
 def find_iso(P1: RingPresentation, P2: RingPresentation,
@@ -699,39 +612,26 @@ def find_iso(P1: RingPresentation, P2: RingPresentation,
     the isomorphism must respect (integer classes directly, mod-2 classes
     through reduction).  Absence of a witness is a value: status 'no' when
     the search space was exhausted exactly, 'unknown' when only a bounded
-    window was enumerated.
+    window was enumerated.  Without `cfg` the search is exact.
     """
-    if P1.domain is not Domain.INT or P2.domain is not Domain.INT:
-        raise ValueError("isomorphism search runs over integer coefficients")
-    P1, P2 = canonicalize(P1), canonicalize(P2)
-
-    if graded_ranks(P1) != graded_ranks(P2):
+    pair = _canonical_pair(P1, P2)
+    if pair is None:
         return IsoSearchResult(NO_ISO)
+    P1, P2 = pair
     if not preserve and P1 == P2:
         identity = IsoWitness(P1, P2, {P1.x_name: P2.x(), P1.w_name: P2.w()},
                               params={"identity": True})
         if verify_iso(identity):
             return IsoSearchResult(FOUND, identity)
 
-    cfg = cfg or SearchConfig(bound=default_bound(P1, P2))
-
-    if cfg.mode == "enum":
+    if cfg is not None and cfg.mode == "enum":
         if P1.w_degree != P2.w_degree:
             return IsoSearchResult(NO_ISO)
         for witness in _enum_candidates(P1, P2, preserve, cfg.bound):
             return IsoSearchResult(FOUND, witness)
         return IsoSearchResult(UNKNOWN)
 
-    D1, D2 = P1.w_exponent, P2.w_exponent
-    if D1 == 1 and D2 == 1:
-        gen = _iso_candidates_univariate(P1, P2, preserve)
-    elif D1 == 1 or D2 == 1 or P1.w_degree != P2.w_degree:
-        return IsoSearchResult(NO_ISO)
-    elif P1.w_degree == 2:
-        gen = _iso_candidates_deg2(P1, P2, preserve)
-    else:
-        gen = _iso_candidates_high(P1, P2, preserve)
-    for witness in gen:
+    for witness in _exact_candidates(P1, P2, preserve):
         return IsoSearchResult(FOUND, witness)
     return IsoSearchResult(NO_ISO)
 
@@ -742,15 +642,6 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     On an infinite witness family only line representatives are yielded;
     existence questions (the oracle's contract) are unaffected.
     """
-    if graded_ranks(P1) != graded_ranks(P2):
-        return
-    P1, P2 = canonicalize(P1), canonicalize(P2)
-    D1, D2 = P1.w_exponent, P2.w_exponent
-    if D1 == 1 and D2 == 1:
-        yield from _iso_candidates_univariate(P1, P2, preserve)
-    elif D1 == 1 or D2 == 1 or P1.w_degree != P2.w_degree:
-        return
-    elif P1.w_degree == 2:
-        yield from _iso_candidates_deg2(P1, P2, preserve)
-    else:
-        yield from _iso_candidates_high(P1, P2, preserve)
+    pair = _canonical_pair(P1, P2)
+    if pair is not None:
+        yield from _exact_candidates(*pair, preserve)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,9 +8,12 @@ from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
 from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchConfig,
-                                  check_preserves, default_bound, find_iso,
-                                  iter_isos, verify_iso)
-from torusclass.quotient import RingPresentation
+                                  _line_image, _Monomials, _nilpotent_directions,
+                                  _ueval, check_preserves, find_iso, iter_isos,
+                                  verify_iso)
+from torusclass.quotient import (RingPresentation, TruncatedProducts, canonicalize,
+                                 evaluate_hom, graded_ranks, normal_form,
+                                 presentation_mod2)
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)
@@ -255,6 +259,107 @@ def test_iter_isos_yields_verified_distinct_witnesses():
     assert all(w.verified for w in got)
 
 
-def test_default_bound_grows_with_coefficients():
-    P1, P2 = ring(B(3, 1, 2, 0)), ring(B(5, 3, 2, 0))
-    assert default_bound(P1, P2) >= 2 * 9 + 2
+def test_iter_isos_rejects_mod2_presentations_like_find_iso():
+    P, Q = presentation_mod2(ring(A(1, 1, 1, 1))), presentation_mod2(ring(A(1, 3, 1, 1)))
+    with pytest.raises(ValueError, match="integer coefficients"):
+        find_iso(P, Q)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        list(iter_isos(P, Q))
+
+
+# --- the exact solver's output, pinned ------------------------------------------------------
+
+def _matrices(*mats):
+    return [{"matrix": m} for m in mats]
+
+
+def _lifts(*triples):
+    return [{"eps": eps, "a": a, "eps2": eps2} for eps, a, eps2 in triples]
+
+
+_SIGNED_SWAPS = _matrices(((0, -1), (1, 0)), ((0, 1), (1, 0)), ((0, 1), (-1, 0)),
+                          ((0, -1), (-1, 0)), ((1, 0), (0, 1)), ((1, 0), (0, -1)),
+                          ((-1, 0), (0, -1)), ((-1, 0), (0, 1)))
+_TWIST_1_3 = _matrices(((1, 1), (0, 1)), ((1, -2), (0, -1)), ((-1, -1), (0, -1)),
+                       ((-1, 2), (0, 1)), ((3, -2), (2, -1)), ((3, -1), (2, -1)),
+                       ((-3, 2), (-2, 1)), ((-3, 1), (-2, 1)))
+_FLIP_W = _matrices(((1, 0), (0, -1)), ((-1, 0), (0, 1)))
+_HALF_TWIST = _lifts((1, 4, 1), (1, -5, -1), (-1, 4, 1), (-1, -5, -1))
+# x^4 = 0 in the target, so a x^4 adds nothing: the parity representatives a = 0, 1
+_VANISHING_LINE = _lifts((1, 0, 1), (1, 1, 1), (1, 0, -1), (1, 1, -1),
+                         (-1, 0, 1), (-1, 1, 1), (-1, 0, -1), (-1, 1, -1))
+
+
+@pytest.mark.parametrize("d1, d2, plain, under_p, under_w", [
+    (A(1, 0, 1, 1), A(1, 0, 1, 1), _SIGNED_SWAPS, _SIGNED_SWAPS, _SIGNED_SWAPS),
+    (A(1, 1, 1, 1), A(1, 3, 1, 1), _TWIST_1_3, _TWIST_1_3, _TWIST_1_3),
+    (A(2, 1, 1, 2), A(2, -1, 1, 2), _FLIP_W, _FLIP_W, _FLIP_W),
+    (B(3, 1, 2, 0), B(3, 3, 2, 0), _HALF_TWIST, [], _HALF_TWIST),
+    (B(3, 2, 4, 0), B(3, 1, 4, 0), _VANISHING_LINE, [], _VANISHING_LINE),
+])
+def test_iter_isos_output_pinned(d1, d2, plain, under_p, under_w):
+    for cls, expected in ((None, plain), (pontrjagin, under_p), (stiefel_whitney, under_w)):
+        preserve = () if cls is None else [(cls(d1), cls(d2))]
+        got = [w.params for w in iter_isos(ring(d1), ring(d2), preserve)]
+        assert got == expected, (d1, d2, cls)
+
+
+# --- the line images and the nilpotent directions against independent routes ---------------
+
+LINE_DESCRIPTORS = [A(1, 1, 1, 1), A(2, -3, 2, 1), A(4, 2, 1, 3), B(2, 3, 1, 0),
+                    B(3, -2, 2, 0), B(4, 1, 1, 3), A(3, 4, 8, 8), A(3, -4, 8, 8),
+                    B(3, 3, 5, 0), B(3, -3, 5, 0)]
+
+
+def _lines(P):
+    """(X, W0, s, e) in the shapes the exact solver uses for P's grading."""
+    x, w = P.x(), P.w()
+    if P.w_degree == 2:
+        return [(x, w, 1, 1), (2 * x - w, x - w, 1, 1), (-x + 3 * w, w, 1, 1)]
+    d = P.w_degree // 2
+    return [(eps1 * x, eps2 * w, eps1 ** d, d) for eps1 in (1, -1) for eps2 in (1, -1)]
+
+
+@pytest.mark.parametrize("d", LINE_DESCRIPTORS, ids=str)
+def test_line_image_matches_evaluate_hom(d):
+    P = canonicalize(ring(d))
+    core = TruncatedProducts(P)
+    polys = [P.relation, pontrjagin(d).poly, stiefel_whitney(d).poly.lift_to_int()]
+    for X, W0, s, e in _lines(P):
+        mono = _Monomials(core, X, W0)
+        for g in polys:
+            image = _line_image(g, mono, s, e)
+            for t in range(-3, 4):
+                at_t = {k: _ueval(u, t) for k, u in image.items() if _ueval(u, t)}
+                expected = evaluate_hom({P.x_name: X, P.w_name: W0 + t * s * X ** e}, g, P)
+                assert at_t == dict(expected.poly.terms), (d, X.text(), t, g.text())
+
+
+def test_line_shapes_cover_both_gradings():
+    assert {ring(d).w_degree == 2 for d in LINE_DESCRIPTORS} == {True, False}
+
+
+def test_nilpotent_directions_are_exactly_the_nilpotent_ones():
+    degree2 = {}
+    for d in grid_descriptors(4, 4, 3):
+        P = canonicalize(ring(d))
+        if P.w_degree == 2:
+            degree2.setdefault(str(P), P)
+    presentations = list(degree2.values())[::4]
+    primitive = [(p, q) for p in range(5) for q in range(-4, 5)
+                 if math.gcd(p, q) == 1 and (p, q) > (0, 0)]
+    pairs = 0
+    for P1, P2 in itertools.product(presentations, repeat=2):
+        if graded_ranks(P1) != graded_ranks(P2):
+            continue
+        pairs += 1
+        dirs = _nilpotent_directions(P1, TruncatedProducts(P2))
+
+        def nilpotent(p, q):
+            return normal_form((p * P2.x() + q * P2.w()) ** (P1.ell + 1), P2).is_zero()
+
+        assert all(math.gcd(p, q) == 1 and nilpotent(p, q) for p, q in dirs), (P1, P2)
+        for p, q in primitive:
+            listed = (p, q) in dirs or (-p, -q) in dirs
+            assert nilpotent(p, q) == listed, (P1, P2, p, q)
+    assert pairs >= 200
