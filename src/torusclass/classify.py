@@ -24,8 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from torusclass.invariants import (ManifoldDescriptor, cohomology, dimension,
-                                   pontrjagin, stiefel_whitney)
+from torusclass.invariants import ManifoldDescriptor, dimension, report
 from torusclass.isosearch import FOUND, NO_ISO, SearchConfig, find_iso
 
 
@@ -327,9 +326,11 @@ def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareRepo
     verdict = diffeomorphic(d, dp)
     if ring_iso:
         cfg = SearchConfig(bound=default_oracle_bound(d, dp))
-        P1, P2 = cohomology(d), cohomology(dp)
-        p_res = find_iso(P1, P2, cfg, preserve=[(pontrjagin(d), pontrjagin(dp))])
-        w_res = find_iso(P1, P2, cfg, preserve=[(stiefel_whitney(d), stiefel_whitney(dp))])
+        r1, r2 = report(d), report(dp)
+        p_res = find_iso(r1.cohomology, r2.cohomology, cfg,
+                         preserve=[(r1.pontrjagin, r2.pontrjagin)])
+        w_res = find_iso(r1.cohomology, r2.cohomology, cfg,
+                         preserve=[(r1.stiefel_whitney, r2.stiefel_whitney)])
         tri = {FOUND: True, NO_ISO: False}
         p_pres = tri.get(p_res.status)
         w_pres = tri.get(w_res.status)

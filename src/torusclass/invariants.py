@@ -163,23 +163,31 @@ def _stiefel_whitney_product(d: ManifoldDescriptor, gens,
     return math.prod(p ** e for p, e in _stiefel_whitney_factors(d, gens, domain))
 
 
-def pontrjagin(d: ManifoldDescriptor) -> NormalElement:
-    """Total Pontrjagin class, reduced to normal form in cohomology(d)."""
-    P = cohomology(d)
+def pontrjagin(d: ManifoldDescriptor, P: RingPresentation | None = None) -> NormalElement:
+    """Total Pontrjagin class, reduced to normal form in cohomology(d).
+
+    P, when given, must be cohomology(d); it saves building the ring again.
+    """
+    P = cohomology(d) if P is None else P
     return reduced_product(_pontrjagin_factors(d, P.gens), P)
 
 
-def stiefel_whitney(d: ManifoldDescriptor) -> NormalElement:
-    """Total Stiefel-Whitney class in the mod-2 cohomology presentation."""
-    P2 = presentation_mod2(cohomology(d))
+def stiefel_whitney(d: ManifoldDescriptor, P: RingPresentation | None = None) -> NormalElement:
+    """Total Stiefel-Whitney class in the mod-2 cohomology presentation.
+
+    P, when given, must be cohomology(d); it saves building the ring again.
+    """
+    P2 = presentation_mod2(cohomology(d) if P is None else P)
     return reduced_product(_stiefel_whitney_factors(d, P2.gens), P2)
 
 
 def report(d: ManifoldDescriptor) -> CharClassReport:
+    """Dimension, cohomology ring and total classes of d, from one ring."""
+    P = cohomology(d)
     return CharClassReport(
         descriptor=d,
         dimension=dimension(d),
-        cohomology=cohomology(d),
-        pontrjagin=pontrjagin(d),
-        stiefel_whitney=stiefel_whitney(d),
+        cohomology=P,
+        pontrjagin=pontrjagin(d, P),
+        stiefel_whitney=stiefel_whitney(d, P),
     )

@@ -303,51 +303,58 @@ class _Monomials:
         return cache[(i, j)]
 
 
-def _line_image(g: GradedPoly, mono: _Monomials, s: int, e: int) -> dict:
-    """Image of g under x -> X, w -> W0 + t s X^e, as {basis monomial ->
-    coefficient list in t}, where mono holds the powers of X and W0.
+def _line_image(g: GradedPoly, mono: _Monomials, s: int, e: int, sx: int, sw: int) -> dict:
+    """Image of g under x -> sx X, w -> sw W0 + t s (sx X)^e, as {basis
+    monomial -> coefficient list in t}, where mono holds the powers of X
+    and W0 and the signs sx, sw are +-1.
 
-    x^a w^b goes to sum_k C(b, k) s^k X^(a+ek) W0^(b-k) t^k; the sum stops
-    at the first power of X that vanishes.
+    x^a w^b goes to sum_k C(b, k) s^k sx^(a+ek) sw^(b-k) X^(a+ek) W0^(b-k) t^k;
+    the sum stops at the first power of X that vanishes.  The four sign
+    lines of one X and W0 thus share one table.
     """
     out: dict[tuple[int, int], list[int]] = {}
     for (a, b), c in g.terms.items():
         coef = c
         for k in range(b + 1):
-            if mono.nf(a + e * k, 0).is_zero():
+            i, j = a + e * k, b - k
+            if mono.nf(i, 0).is_zero():
                 break
-            for key, v in mono.nf(a + e * k, b - k).terms.items():
+            signed = coef * sx ** i * sw ** j
+            for key, v in mono.nf(i, j).terms.items():
                 u = out.setdefault(key, [])
                 u.extend([0] * (k + 1 - len(u)))
-                u[k] += coef * v
+                u[k] += signed * v
             coef = coef * s * (b - k) // (k + 1)
     return out
 
 
-def _line_conditions(g: GradedPoly, target: dict, mono: _Monomials, s: int, e: int) -> list:
+def _line_conditions(g: GradedPoly, target: dict, line) -> list:
     """Coefficient lists in t whose common roots send g to the element
-    with basis coefficients `target`."""
-    image = _line_image(g, mono, s, e)
+    with basis coefficients `target` along `line`, the arguments
+    (mono, s, e, sx, sw) of ``_line_image``."""
+    image = _line_image(g, *line)
     for key, c in target.items():
         image.setdefault(key, [0])[0] -= c
     return list(image.values())
 
 
-def _line_solutions(P1, preserve, mono: _Monomials, s: int, e: int) -> list[int]:
-    """Integer t for which x -> X, w -> W0 + t s X^e kills the relation of
-    P1 and carries each preserved class to its partner.
+def _line_solutions(P1, preserve, mono: _Monomials, s: int, e: int,
+                    sx: int, sw: int) -> list[int]:
+    """Integer t for which x -> sx X, w -> sw W0 + t s (sx X)^e kills the
+    relation of P1 and carries each preserved class to its partner.
 
     Mod-2 classes are lifted to integers and only filter: their conditions
     must vanish mod 2.  When the integer conditions are vacuous, the parity
     representatives 0 and 1 stand for the whole line.
     """
-    sys_int = _line_conditions(P1.relation, {}, mono, s, e)
+    line = (mono, s, e, sx, sw)
+    sys_int = _line_conditions(P1.relation, {}, line)
     sys_mod2 = []
     for c1, c2 in preserve:
         if c1.poly.domain is Domain.MOD2:
-            sys_mod2 += _line_conditions(c1.poly.lift_to_int(), c2.poly.terms, mono, s, e)
+            sys_mod2 += _line_conditions(c1.poly.lift_to_int(), c2.poly.terms, line)
         else:
-            sys_int += _line_conditions(c1.poly, c2.poly.terms, mono, s, e)
+            sys_int += _line_conditions(c1.poly, c2.poly.terms, line)
 
     def mod2_ok(t):
         return all(_ueval(u, t) % 2 == 0 for u in sys_mod2)
@@ -397,6 +404,9 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
         return False
     basis2 = monomial_basis(P2)
     index2 = {e: i for i, e in enumerate(basis2)}
+    cols_by_degree: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(basis2):
+        cols_by_degree.setdefault(2 * a + P2.w_degree * b, []).append(i)
     by_degree: dict[int, list[list[int]]] = {}
     for a, b in monomial_basis(P1):
         deg = 2 * a + P1.w_degree * b
@@ -405,7 +415,7 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
             row[index2[e]] = c
         by_degree.setdefault(deg, []).append(row)
     for deg, rows in by_degree.items():
-        cols = [i for i, e in enumerate(basis2) if 2 * e[0] + P2.w_degree * e[1] == deg]
+        cols = cols_by_degree.get(deg, [])
         if len(cols) != len(rows):
             return False
         mat = [[row[i] for i in cols] for row in rows]
@@ -493,21 +503,24 @@ def _iso_candidates_deg2(P1, P2, preserve):
     """Yield verified witnesses when both generators have degree 2.
 
     x goes to a nilpotent direction X = alpha x + beta w, and w to the line
-    W0 + t X of completions to a matrix of determinant +-1.
+    W0 + t X of completions to a matrix of determinant +-1.  With
+    (alpha, beta) = sgn (p, q), _egcd(alpha, beta) = (sgn g, s_a, s_b), so
+    W0 = sgn det W1 for the completion W1 of (p, q) at sgn = det = 1, and
+    the four lines of one direction share the table of X1 = p x + q w, W1.
     """
     core = TruncatedProducts(P2)
     for p, q in _nilpotent_directions(P1, core):
+        g, s_a, s_b = _egcd(p, q)
+        if abs(g) != 1:
+            continue
+        s_a, s_b = s_a * g, s_b * g  # now p*s_a + q*s_b == 1
+        mono = _Monomials(core, GradedPoly(P2.gens, {(1, 0): p, (0, 1): q}),
+                          GradedPoly(P2.gens, {(1, 0): -s_b, (0, 1): s_a}))
         for sgn in (1, -1):
             alpha, beta = sgn * p, sgn * q
-            g, s_a, s_b = _egcd(alpha, beta)
-            if abs(g) != 1:
-                continue
-            s_a, s_b = s_a * g, s_b * g  # now alpha*s_a + beta*s_b == 1
-            X = GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta})
             for det in (1, -1):
-                gamma0, delta0 = -s_b * det, s_a * det
-                W0 = GradedPoly(P2.gens, {(1, 0): gamma0, (0, 1): delta0})
-                for t in _line_solutions(P1, preserve, _Monomials(core, X, W0), 1, 1):
+                gamma0, delta0 = -s_b * sgn * det, s_a * sgn * det
+                for t in _line_solutions(P1, preserve, mono, 1, 1, sgn, sgn * det):
                     witness = _matrix_witness(P1, P2, alpha, gamma0 + t * alpha,
                                               beta, delta0 + t * beta)
                     if _accepted(witness, preserve):
@@ -517,16 +530,14 @@ def _iso_candidates_deg2(P1, P2, preserve):
 def _iso_candidates_high(P1, P2, preserve):
     """Yield verified witnesses for a common second-generator degree 2d > 2.
 
-    x goes to X = eps1 x, and w to the line eps2 w + a x^d, where
-    x^d = eps1^d X^d.
+    x goes to eps1 x, and w to the line eps2 w + a x^d, where
+    x^d = eps1^d (eps1 x)^d; the four lines share the table of x^i w^j.
     """
-    core = TruncatedProducts(P2)
+    mono = _Monomials(TruncatedProducts(P2), P2.x(), P2.w())
     d = P1.w_degree // 2
     for eps1 in (1, -1):
-        X = GradedPoly(P2.gens, {(1, 0): eps1})
         for eps2 in (1, -1):
-            W0 = GradedPoly(P2.gens, {(0, 1): eps2})
-            for a in _line_solutions(P1, preserve, _Monomials(core, X, W0), eps1 ** d, d):
+            for a in _line_solutions(P1, preserve, mono, eps1 ** d, d, eps1, eps2):
                 witness = _shear_witness(P1, P2, eps1, a, eps2)
                 if _accepted(witness, preserve):
                     yield witness

@@ -21,7 +21,7 @@ from torusclass.intpoly import Domain, GradedPoly
 class RingPresentation:
     """Presentation of Z[x,w]/<x^(ell+1), relation> with relation monic in w."""
 
-    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain")
+    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain", "w_exponent")
 
     def __init__(self, x_name: str, w_name: str, w_degree: int, ell: int,
                  relation: GradedPoly, domain: Domain = Domain.INT):
@@ -40,7 +40,8 @@ class RingPresentation:
         self.ell = ell
         self.relation = relation
         self.domain = domain
-        D = self.w_exponent
+        # degree D of the relation as a polynomial in w
+        self.w_exponent = D = max((e[1] for e in relation.terms), default=0)
         if D < 1:
             raise ValueError("relation must involve w")
         lead = [(e, c) for e, c in relation.terms.items() if e[1] == D]
@@ -48,11 +49,6 @@ class RingPresentation:
             raise ValueError("relation is not monic in w")
         if not relation.is_homogeneous(D * w_degree):
             raise ValueError(f"relation is not homogeneous of degree {D * w_degree}")
-
-    @property
-    def w_exponent(self) -> int:
-        """Degree D of the relation as a polynomial in w."""
-        return max(e[1] for e in self.relation.terms)
 
     @property
     def gens(self):
@@ -185,7 +181,7 @@ class TruncatedProducts:
 
     def __init__(self, P: RingPresentation):
         self.P = P
-        self.one = P.one()
+        self.one = GradedPoly._trusted(P.relation.gens, {(0, 0): 1}, P.domain)
         self.ell = P.ell
         self.D = D = P.w_exponent
         # terms of the normal forms of w^(D+k), k = 0, 1, ..., in increasing
@@ -224,7 +220,7 @@ class TruncatedProducts:
 
     def mul(self, p: GradedPoly, q: GradedPoly) -> GradedPoly:
         """Normal form of p * q."""
-        return GradedPoly._trusted(self.P.gens, self._mul(p.terms, q.terms), self.P.domain)
+        return GradedPoly._trusted(self.one.gens, self._mul(p.terms, q.terms), self.P.domain)
 
     def power(self, p: GradedPoly, e: int) -> GradedPoly:
         """Normal form of p ** e, as the binomial series

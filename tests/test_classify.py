@@ -1,8 +1,10 @@
 import itertools
+import sys
 
 import pytest
 
 import torusclass.classify as classify
+import torusclass.invariants as invariants
 from conftest import grid_descriptors
 from torusclass.classify import (DIFFEOMORPHIC, DIMENSION_MISMATCH,
                                  NOT_DIFFEOMORPHIC, InternalConsistencyError,
@@ -210,6 +212,37 @@ def test_compare_report_w_obstruction():
     assert rep.w_preservable is False
     assert rep.verdict.outcome == NOT_DIFFEOMORPHIC
     assert rep.rigidity == ("R3", "R3")
+
+
+def _count_cohomology(monkeypatch) -> list:
+    """Record every call of invariants.cohomology, through whichever
+    torusclass module namespace it is called."""
+    orig, calls = invariants.cohomology, []
+
+    def counted(d):
+        calls.append(d)
+        return orig(d)
+
+    for name, module in list(sys.modules.items()):
+        if name == "torusclass" or name.startswith("torusclass."):
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_one_ring_per_descriptor(monkeypatch):
+    d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
+    expected = invariants.report(d1)
+    calls = _count_cohomology(monkeypatch)
+    rep = invariants.report(d1)
+    assert calls == [d1]
+    assert rep.to_json() == expected.to_json()
+    assert (rep.pontrjagin, rep.stiefel_whitney) == (invariants.pontrjagin(d1),
+                                                     invariants.stiefel_whitney(d1))
+    calls.clear()
+    assert compare_report(d1, d2).ring_isomorphic
+    assert sorted(map(str, calls)) == sorted(map(str, (d1, d2)))
 
 
 # --- relation properties --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from conftest import grid_descriptors
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchConfig,
+from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchConfig, _egcd,
                                   _line_image, _Monomials, _nilpotent_directions,
                                   _ueval, check_preserves, find_iso, iter_isos,
                                   verify_iso)
@@ -327,16 +327,76 @@ def test_line_image_matches_evaluate_hom(d):
     polys = [P.relation, pontrjagin(d).poly, stiefel_whitney(d).poly.lift_to_int()]
     for X, W0, s, e in _lines(P):
         mono = _Monomials(core, X, W0)
-        for g in polys:
-            image = _line_image(g, mono, s, e)
+        for sx, sw, g in itertools.product((1, -1), (1, -1), polys):
+            image = _line_image(g, mono, s, e, sx, sw)
             for t in range(-3, 4):
                 at_t = {k: _ueval(u, t) for k, u in image.items() if _ueval(u, t)}
-                expected = evaluate_hom({P.x_name: X, P.w_name: W0 + t * s * X ** e}, g, P)
-                assert at_t == dict(expected.poly.terms), (d, X.text(), t, g.text())
+                line = {P.x_name: sx * X, P.w_name: sw * W0 + t * s * (sx * X) ** e}
+                expected = evaluate_hom(line, g, P)
+                assert at_t == dict(expected.poly.terms), (d, X.text(), sx, sw, t, g.text())
 
 
 def test_line_shapes_cover_both_gradings():
     assert {ring(d).w_degree == 2 for d in LINE_DESCRIPTORS} == {True, False}
+
+
+def _sign_lines(P1, P2):
+    """(shared table, s, e, sx, sw, fresh table) for each line the exact
+    solver walks from P1 to P2.  The fresh table holds the powers of the
+    line's own sx X and sw W0, built as if each line had its own table:
+    in degree 2 from _egcd of the signed direction."""
+    core = TruncatedProducts(P2)
+    x, w = P2.x(), P2.w()
+    if P2.w_degree > 2:
+        d = P2.w_degree // 2
+        shared = _Monomials(core, x, w)
+        return [(shared, eps1 ** d, d, eps1, eps2, _Monomials(core, eps1 * x, eps2 * w))
+                for eps1 in (1, -1) for eps2 in (1, -1)]
+    lines = []
+    for p, q in _nilpotent_directions(P1, core):
+        g, s_a, s_b = _egcd(p, q)
+        shared = _Monomials(core, p * x + q * w, -s_b * g * x + s_a * g * w)
+        for sgn in (1, -1):
+            g, s_a, s_b = _egcd(sgn * p, sgn * q)
+            X = sgn * p * x + sgn * q * w
+            for det in (1, -1):
+                W0 = -s_b * g * det * x + s_a * g * det * w
+                lines.append((shared, 1, 1, sgn, sgn * det, _Monomials(core, X, W0)))
+    return lines
+
+
+def _shared_table_pairs():
+    by_text = {}
+    for d in grid_descriptors(4, 4, 3):
+        P = canonicalize(ring(d))
+        if P.w_exponent > 1:
+            by_text.setdefault(str(P), (d, P))
+    grid = list(by_text.values())
+    pairs = [(d1, d2) for (d1, P1), (d2, P2) in itertools.product(grid, repeat=2)
+             if P1.w_degree == P2.w_degree and graded_ranks(P1) == graded_ranks(P2)]
+    return pairs + [(A(3, 5, 30, 30), A(3, -5, 30, 30)), (B(3, 5, 40, 20), B(3, -5, 40, 20))]
+
+
+def test_shared_tables_equal_fresh_ones():
+    pairs = _shared_table_pairs()
+    shapes = set()
+    for d1, d2 in pairs:
+        P1, P2 = canonicalize(ring(d1)), canonicalize(ring(d2))
+        polys = [P1.relation, pontrjagin(d1).poly, stiefel_whitney(d1).poly.lift_to_int()]
+        for shared, s, e, sx, sw, fresh in _sign_lines(P1, P2):
+            shapes.add((P2.w_degree == 2, sx, sw))
+            for g in polys:
+                assert (_line_image(g, shared, s, e, sx, sw)
+                        == _line_image(g, fresh, s, e, 1, 1)), (d1, d2, sx, sw, g.text())
+    assert len(shapes) == 8
+    assert len(pairs) >= 1000
+
+
+def test_egcd_of_negated_pair():
+    for p, q in itertools.product(range(-9, 10), repeat=2):
+        g, s_a, s_b = _egcd(p, q)
+        assert _egcd(-p, -q) == (-g, s_a, s_b)
+        assert p * s_a + q * s_b == g
 
 
 def test_nilpotent_directions_are_exactly_the_nilpotent_ones():

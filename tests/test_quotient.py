@@ -42,6 +42,11 @@ def test_rejects_inhomogeneous_relation():
         RingPresentation("x", "z", 4, 2, z * z + x)
 
 
+def test_rejects_zero_relation():
+    with pytest.raises(ValueError, match="relation must involve w"):
+        RingPresentation("x", "z", 4, 2, GradedPoly.zero((("x", 2), ("z", 4))))
+
+
 # --- canonicalize -------------------------------------------------------------
 
 def test_canonicalize_drops_truncated_terms():
