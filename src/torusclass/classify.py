@@ -21,19 +21,14 @@ confirms on every tested grid.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
-from torusclass.isosearch import FOUND, NO_ISO, SearchConfig, find_iso
+from torusclass.isosearch import find_iso
 
 
 class InternalConsistencyError(RuntimeError):
     """A structural invariant of the classification failed (broken build)."""
-
-
-class OracleBoundError(ValueError):
-    """TORUSCLASS_ORACLE_BOUND is set to something other than an integer >= 1."""
 
 
 DIFFEOMORPHIC = "diffeomorphic"
@@ -281,8 +276,8 @@ class CompareReport:
     second: ManifoldDescriptor
     dimensions: tuple[int, int]
     ring_isomorphic: bool
-    p_preservable: bool | None
-    w_preservable: bool | None
+    p_preservable: bool
+    w_preservable: bool
     verdict: DiffeoVerdict
     rigidity: tuple[str, str]
 
@@ -298,45 +293,20 @@ class CompareReport:
         }
 
 
-def default_oracle_bound(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> int:
-    """Window sized to the solved twist coefficients, which are bounded by
-    max(|rho|)^(k1+k2) up to a factor of two."""
-    env = os.environ.get("TORUSCLASS_ORACLE_BOUND")
-    if env:
-        try:
-            bound = int(env)
-        except ValueError:
-            bound = 0
-        if bound < 1:
-            raise OracleBoundError(
-                f"TORUSCLASS_ORACLE_BOUND must be an integer >= 1, got {env!r}")
-        return bound
-    base = max(abs(d.rho), abs(dp.rho), 2)
-    return 2 * base ** max(d.k1 + d.k2, dp.k1 + dp.k2) + 2
-
-
 def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareReport:
     """Ring equivalence, class-preserving-isomorphism existence (via the
-    oracle), diffeomorphism verdict, and rigidity tags for a pair.
-
-    Oracle indeterminacy (bounded modes only) surfaces as None, never as a
-    silent False; the closed-form verdict is authoritative either way.
-    """
+    exact oracle), diffeomorphism verdict, and rigidity tags for a pair."""
     ring_iso = cohomology_isomorphic(d, dp)
     verdict = diffeomorphic(d, dp)
     if ring_iso:
-        cfg = SearchConfig(bound=default_oracle_bound(d, dp))
         r1, r2 = report(d), report(dp)
-        p_res = find_iso(r1.cohomology, r2.cohomology, cfg,
-                         preserve=[(r1.pontrjagin, r2.pontrjagin)])
-        w_res = find_iso(r1.cohomology, r2.cohomology, cfg,
-                         preserve=[(r1.stiefel_whitney, r2.stiefel_whitney)])
-        tri = {FOUND: True, NO_ISO: False}
-        p_pres = tri.get(p_res.status)
-        w_pres = tri.get(w_res.status)
+        p_pres = find_iso(r1.cohomology, r2.cohomology,
+                          [(r1.pontrjagin, r2.pontrjagin)]).found
+        w_pres = find_iso(r1.cohomology, r2.cohomology,
+                          [(r1.stiefel_whitney, r2.stiefel_whitney)]).found
     else:
         p_pres = w_pres = False
-    if verdict.diffeomorphic and (not ring_iso or p_pres is False or w_pres is False):
+    if verdict.diffeomorphic and not (ring_iso and p_pres and w_pres):
         raise InternalConsistencyError(
             f"diffeomorphic pair ({d}, {dp}) fails an invariant check: "
             f"ring_iso={ring_iso}, p={p_pres}, w={w_pres}")

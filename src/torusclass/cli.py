@@ -12,9 +12,9 @@ import sys
 import click
 
 from torusclass import classify, quasitoric
-from torusclass.classify import InternalConsistencyError, OracleBoundError
+from torusclass.classify import InternalConsistencyError
 from torusclass.invariants import DescriptorError, ManifoldDescriptor, report
-from torusclass.isosearch import SearchConfig, find_iso
+from torusclass.isosearch import find_iso
 
 
 def _emit(payload) -> None:
@@ -92,9 +92,9 @@ def rigidity_cmd(descriptor):
               help="JSON file {\"blocks\": [...], \"rows\": [[...], ...]}.")
 def dj_cmd(matrix_path):
     """Cohomology presentation and characteristic classes from facet data."""
-    with open(matrix_path, encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        with open(matrix_path, encoding="utf-8") as fh:
+            data = json.load(fh)
         cm = quasitoric.CharMatrix.from_json(data)
         fr = quasitoric.face_ring(cm.blocks)
         pres = quasitoric.eliminate(fr, quasitoric.linear_ideal(cm))
@@ -113,21 +113,18 @@ def dj_cmd(matrix_path):
 @click.argument("first")
 @click.argument("second")
 @click.option("--bound", type=click.IntRange(min=1), default=None,
-              help="Search window for coefficients.")
-@click.option("--mode", type=click.Choice(["exact", "enum"]), default="exact",
-              show_default=True)
-def oracle_iso_cmd(first, second, bound, mode):
-    """Brute-force / exact search for a graded ring isomorphism."""
+              help="Enumerate coefficients in [-N, N] instead of solving exactly.")
+def oracle_iso_cmd(first, second, bound):
+    """Exact search (or, with --bound, bounded enumeration) for a graded
+    ring isomorphism."""
     from torusclass.invariants import cohomology
 
     d1, d2 = _descriptor(first), _descriptor(second)
-    if bound is None:
-        bound = classify.default_oracle_bound(d1, d2)
-    res = find_iso(cohomology(d1), cohomology(d2), SearchConfig(bound=bound, mode=mode))
+    res = find_iso(cohomology(d1), cohomology(d2), bound=bound)
     payload = {
         "descriptors": [d1.render(), d2.render()],
         "bound": bound,
-        "mode": mode,
+        "mode": "exact" if bound is None else "enum",
         "status": res.status,
         "witness": None,
     }
@@ -189,7 +186,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as e:
         click.echo(f"internal consistency failure: {e}", err=True)
         return 2
-    except (DescriptorError, OracleBoundError) as e:
+    except DescriptorError as e:
         click.echo(f"error: {e}", err=True)
         return 1
 

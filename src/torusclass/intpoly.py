@@ -204,11 +204,6 @@ class GradedPoly:
 
     # -- grading and coefficient reduction ----------------------------------
 
-    def graded_component(self, degree: int) -> "GradedPoly":
-        """Sum of the terms of exact cohomological degree `degree`."""
-        terms = {e: c for e, c in self.terms.items() if self.term_degree(e) == degree}
-        return GradedPoly(self.gens, terms, self.domain)
-
     def reduce_mod2(self) -> "GradedPoly":
         """Reduce integer coefficients mod 2 (domain becomes MOD2)."""
         if self.domain is not Domain.INT:

@@ -10,7 +10,6 @@ the standard product formulas for these bundles.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -145,22 +144,6 @@ def _stiefel_whitney_factors(d: ManifoldDescriptor, gens,
         y = GradedPoly.generator(gens, "y", domain)
         return [(one + x, d.ell + 1), (one + d.rho * x + y, d.k1), (one + y, d.k2)]
     return [(one + x, d.ell + 1), (one + d.rho * x, d.k1)]
-
-
-def _pontrjagin_product(d: ManifoldDescriptor, gens) -> GradedPoly:
-    """Product formula for the total Pontrjagin class, expanded in the free ring."""
-    return math.prod(p ** e for p, e in _pontrjagin_factors(d, gens))
-
-
-def _stiefel_whitney_product(d: ManifoldDescriptor, gens,
-                             domain: Domain = Domain.MOD2) -> GradedPoly:
-    """Product formula for the total Stiefel-Whitney class, expanded in the
-    free ring.
-
-    Computed over the requested domain so tests can cross-check the native
-    mod-2 product against the reduced integer expansion.
-    """
-    return math.prod(p ** e for p, e in _stiefel_whitney_factors(d, gens, domain))
 
 
 def pontrjagin(d: ManifoldDescriptor, P: RingPresentation | None = None) -> NormalElement:

@@ -5,19 +5,21 @@ Used as an oracle to cross-validate the closed-form classification logic:
 it decides existence of a degree-preserving ring isomorphism directly from
 the presentations, never from the descriptor arithmetic.
 
-Two modes:
+The mode is selected by ``bound``:
 
-* ``enum``  - literal brute force over images with coefficients in
-  [-bound, bound]; exhaustion without a witness is *indeterminate*.
-* ``exact`` - solve along a line.  The image X of x is fixed first: a
-  rational direction root of the nilpotency forms of (p x + q w)^(l+1)
-  when w has degree 2, and +-x otherwise.  The image of w then runs along
-  a line W0 + tU, with U = X in degree 2 and U = x^d in degree 2d, so
-  x^a w^b goes to sum_k C(b, k) t^k X^a U^k W0^(b-k).  The relation and
-  every preserved integer class become integer polynomials in t alone,
-  whose integer roots are found exactly; preserved mod-2 classes keep
-  the roots at which their polynomials are even.  Exhaustion here is a
-  definite "no isomorphism".
+* ``bound=None`` (exact) - solve along a line.  The image X of x is
+  fixed first: a rational direction root of the nilpotency forms of
+  (p x + q w)^(l+1) when w has degree 2, and +-x otherwise.  The image
+  of w then runs along a line W0 + tU, with U = X in degree 2 and
+  U = x^d in degree 2d, so x^a w^b goes to
+  sum_k C(b, k) t^k X^a U^k W0^(b-k).  The relation and every preserved
+  integer class become integer polynomials in t alone, whose integer
+  roots are found exactly; preserved mod-2 classes keep the roots at
+  which their polynomials are even.  Exhaustion here is a definite
+  "no isomorphism".
+* an integer ``bound >= 1`` (enum) - literal brute force over images with
+  coefficients in [-bound, bound]; exhaustion without a witness is
+  *indeterminate*.
 
 Every product in the target ring goes through ``TruncatedProducts``.
 Both modes verify every candidate before reporting it (relations map to
@@ -36,20 +38,6 @@ from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks,
                                  monomial_basis, normal_form)
-
-
-@dataclass
-class SearchConfig:
-    """Search window and mode ('exact' or 'enum')."""
-
-    bound: int
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
-        if self.mode not in ("exact", "enum"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -241,33 +229,18 @@ def _int_roots(u: list[int]) -> list[int]:
 
 
 def _rational_roots(u: list[int]) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial."""
+    """All rational roots of a nonzero integer polynomial.
+
+    For degree n and leading coefficient a they are t/a for the integer
+    roots t of the monic a^(n-1) u(y/a), whose coefficients are
+    u_i a^(n-1-i).
+    """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
-    roots = set()
-    while u and u[0] == 0:
-        u.pop(0)
-        roots.add(Fraction(0))
-    deg = len(u) - 1
-    if deg == 1:
-        roots.add(Fraction(-u[0], u[1]))
-    elif deg == 2:
-        c0, c1, c2 = u
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                roots.add(Fraction(-c1 + s, 2 * c2))
-                roots.add(Fraction(-c1 - s, 2 * c2))
-    elif deg >= 3:
-        for p in _divisors(u[0]):
-            for q in _divisors(u[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    num, den = cand.numerator, cand.denominator
-                    if sum(c * num ** i * den ** (deg - i) for i, c in enumerate(u)) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    a, n = u[-1], len(u) - 1
+    monic = [c * a ** (n - 1 - i) for i, c in enumerate(u[:-1])] + [1]
+    return sorted(Fraction(t, a) for t in _int_roots(monic))
 
 
 # --------------------------------------------------------------------------
@@ -615,16 +588,18 @@ def _canonical_pair(P1: RingPresentation, P2: RingPresentation):
     return P1, P2
 
 
-def find_iso(P1: RingPresentation, P2: RingPresentation,
-             cfg: SearchConfig | None = None, preserve=()) -> IsoSearchResult:
+def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
+             bound: int | None = None) -> IsoSearchResult:
     """Search for a graded ring isomorphism P1 -> P2.
 
     `preserve` is an optional sequence of (class in P1, class in P2) pairs
     the isomorphism must respect (integer classes directly, mod-2 classes
     through reduction).  Absence of a witness is a value: status 'no' when
-    the search space was exhausted exactly, 'unknown' when only a bounded
-    window was enumerated.  Without `cfg` the search is exact.
+    the search space was exhausted exactly, 'unknown' when only the window
+    [-bound, bound] was enumerated.  Without `bound` the search is exact.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be >= 1")
     pair = _canonical_pair(P1, P2)
     if pair is None:
         return IsoSearchResult(NO_ISO)
@@ -635,10 +610,10 @@ def find_iso(P1: RingPresentation, P2: RingPresentation,
         if verify_iso(identity):
             return IsoSearchResult(FOUND, identity)
 
-    if cfg is not None and cfg.mode == "enum":
+    if bound is not None:
         if P1.w_degree != P2.w_degree:
             return IsoSearchResult(NO_ISO)
-        for witness in _enum_candidates(P1, P2, preserve, cfg.bound):
+        for witness in _enum_candidates(P1, P2, preserve, bound):
             return IsoSearchResult(FOUND, witness)
         return IsoSearchResult(UNKNOWN)
 

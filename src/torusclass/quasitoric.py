@@ -89,15 +89,6 @@ class FaceRingPresentation:
     def gens(self):
         return self.generators
 
-    def block_monomials(self) -> list[GradedPoly]:
-        out = []
-        for names in self.blocks:
-            mono = GradedPoly.one(self.generators)
-            for nm in names:
-                mono = mono * GradedPoly.generator(self.generators, nm)
-            out.append(mono)
-        return out
-
 
 def face_ring(blocks: SimplexBlocks) -> FaceRingPresentation:
     """Face ring of a product of simplices: one monomial generator per block."""

@@ -264,18 +264,6 @@ def reduced_product(factors, P: RingPresentation) -> NormalElement:
     return NormalElement(P, result)
 
 
-def ring_equal(p: GradedPoly, q: GradedPoly, P: RingPresentation) -> bool:
-    """True iff p and q represent the same coset."""
-    return normal_form(p, P) == normal_form(q, P)
-
-
-def additive_rank(P: RingPresentation) -> int:
-    """Rank of the quotient as a free abelian group: (l+1) * D."""
-    if not P.is_canonical():
-        raise ValueError("additive_rank expects a canonical presentation")
-    return (P.ell + 1) * P.w_exponent
-
-
 def monomial_basis(P: RingPresentation) -> list[tuple[int, int]]:
     """The normal basis exponents (a, b), a <= l, b <= D-1, in graded order."""
     D = P.w_exponent

@@ -14,14 +14,13 @@ import time
 from pathlib import Path
 
 from conftest import grid_descriptors
+from reference import graded_component
 from torusclass.classify import (DIFFEOMORPHIC, cohomology_isomorphic,
-                                 compare_report, default_oracle_bound,
-                                 diffeomorphic, bott_equivalent,
+                                 compare_report, diffeomorphic, bott_equivalent,
                                  rigidity_class, rigidity_clauses)
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (FOUND, NO_ISO, IsoWitness, SearchConfig,
-                                  find_iso, verify_iso)
+from torusclass.isosearch import FOUND, NO_ISO, IsoWitness, find_iso, verify_iso
 from torusclass.quasitoric import (char_matrix_for, dj_characteristic_classes,
                                    eliminate, face_ring, linear_ideal)
 
@@ -66,14 +65,13 @@ def test_criterion_2_example_corpus():
     for d1, d2 in itertools.combinations(CORPUS, 2):
         if not cohomology_isomorphic(d1, d2):
             problems.append(f"ring iso missing for {d1},{d2}")
-        res = find_iso(cohomology(d1), cohomology(d2),
-                       SearchConfig(bound=default_oracle_bound(d1, d2)))
+        res = find_iso(cohomology(d1), cohomology(d2))
         if not res.found:
             problems.append(f"oracle witness missing for {d1},{d2}")
     expected_p1 = {CORPUS[0]: 8, CORPUS[1]: 8, CORPUS[2]: 20}
     for d, coeff in expected_p1.items():
         p = pontrjagin(d)
-        if p.poly.graded_component(4) != p.presentation.poly({(2, 0): coeff}):
+        if graded_component(p.poly, 4) != p.presentation.poly({(2, 0): coeff}):
             problems.append(f"p1 of {d} is {p.text()}, expected {coeff}x^2")
     if diffeomorphic(CORPUS[0], CORPUS[1]).outcome != DIFFEOMORPHIC:
         problems.append("first pair should be diffeomorphic")
@@ -120,10 +118,9 @@ def test_criterion_4_rigidity_semantics():
         if "R1" in tags and not diffeo:
             problems.append(f"R1 violation: {d1} ~ {d2} but not diffeomorphic")
             continue
-        cfg = SearchConfig(bound=default_oracle_bound(d1, d2))
-        p_pres = find_iso(P1, P2, cfg,
+        p_pres = find_iso(P1, P2,
                           preserve=[(pontrjagin(d1), pontrjagin(d2))]).found
-        w_pres = find_iso(P1, P2, cfg,
+        w_pres = find_iso(P1, P2,
                           preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))]).found
         if not diffeo:
             if "R2" in tags:
@@ -160,8 +157,7 @@ def test_criterion_5_oracle_cross_validation():
     total = 0
     for d1, d2 in itertools.combinations(GRID4, 2):
         total += 1
-        res = find_iso(pres[d1], pres[d2],
-                       SearchConfig(bound=default_oracle_bound(d1, d2)))
+        res = find_iso(pres[d1], pres[d2])
         if not res.definite:
             indeterminate += 1
             continue

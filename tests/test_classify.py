@@ -287,8 +287,7 @@ def test_characteristic_class_rigidity_biconditional():
     # exists iff the manifolds are diffeomorphic; for l = 1 the same holds
     # with the Stiefel-Whitney class. Both directions, swept over a grid.
     from torusclass.invariants import cohomology, pontrjagin, stiefel_whitney
-    from torusclass.isosearch import SearchConfig, find_iso
-    from torusclass.classify import default_oracle_bound
+    from torusclass.isosearch import find_iso
 
     grid = [d for d in grid_descriptors(4, 4, 3, families="B")
             if d.k1 + d.k2 >= 2]
@@ -297,13 +296,11 @@ def test_characteristic_class_rigidity_biconditional():
         by_shape.setdefault((d.ell, d.k1 + d.k2), []).append(d)
     for (ell, _), members in by_shape.items():
         for d1, d2 in itertools.combinations(members, 2):
-            cfg = SearchConfig(bound=default_oracle_bound(d1, d2))
             P1, P2 = cohomology(d1), cohomology(d2)
             if ell >= 2:
-                res = find_iso(P1, P2, cfg,
-                               preserve=[(pontrjagin(d1), pontrjagin(d2))])
+                res = find_iso(P1, P2, preserve=[(pontrjagin(d1), pontrjagin(d2))])
             else:
-                res = find_iso(P1, P2, cfg,
+                res = find_iso(P1, P2,
                                preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))])
             diffeo = diffeomorphic(d1, d2).outcome == DIFFEOMORPHIC
             assert res.definite

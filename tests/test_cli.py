@@ -2,10 +2,10 @@ import json
 from importlib import resources
 
 import jsonschema
-import pytest
 
 import torusclass.classify as classify
 from torusclass.cli import main
+from torusclass.isosearch import NO_ISO, IsoSearchResult
 
 
 def run(capsys, *argv):
@@ -61,6 +61,27 @@ def test_compare_verdicts_are_data_not_exit_codes(capsys):
     assert json.loads(out)["verdict"]["outcome"] == "not_diffeomorphic"
 
 
+def test_compare_oracle_disagreement_exit_code(capsys, monkeypatch):
+    # a diffeomorphic pair for which the p-preserving (first) or the
+    # w-preserving (second) search says "no" is a consistency failure
+    real = classify.find_iso
+    for failing in (1, 2):
+        calls = []
+
+        def find_iso(P1, P2, preserve=(), **kwargs):
+            calls.append(preserve)
+            if len(calls) == failing:
+                return IsoSearchResult(NO_ISO)
+            return real(P1, P2, preserve, **kwargs)
+
+        monkeypatch.setattr(classify, "find_iso", find_iso)
+        code = main(["compare", "B(3,2,1,3)", "B(3,1,4,0)"])
+        captured = capsys.readouterr()
+        assert code == 2, failing
+        assert captured.out == ""
+        assert "internal consistency failure" in captured.err
+
+
 # --- rigidity ----------------------------------------------------------------------
 
 def test_rigidity_output(capsys):
@@ -97,9 +118,14 @@ def test_dj_from_matrix_file(tmp_path, capsys):
 
 def test_dj_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"blocks": [1], "rows": [[1, 1], [0, 1]]}))
-    code, _ = run(capsys, "dj", "--matrix", str(path))
-    assert code == 1
+    for content in (json.dumps({"blocks": [1], "rows": [[1, 1], [0, 1]]}).encode(),
+                    b"not json", b"\xff\xfe"):
+        path.write_bytes(content)
+        code = main(["dj", "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, content
+        assert captured.out == ""
+        assert "bad matrix file: " in captured.err
 
 
 # --- oracle-iso ------------------------------------------------------------------------
@@ -114,19 +140,23 @@ def test_oracle_iso_found(capsys):
 
 
 def test_oracle_iso_enum_mode_and_bound(capsys):
-    code, out = run(capsys, "oracle-iso", "B(3,1,2,0)", "B(3,3,2,0)",
-                    "--mode", "enum", "--bound", "1")
-    assert code == 0
-    assert json.loads(out)["status"] == "unknown"
-
-
-def test_oracle_iso_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("TORUSCLASS_ORACLE_BOUND", "7")
-    code, out = run(capsys, "oracle-iso", "A(1,1,1,1)", "A(1,3,1,1)")
+    # bound 1 cannot reach the half-twist coefficient a = 5; bound 5 can
+    argv = ["oracle-iso", "B(3,1,2,0)", "B(3,3,2,0)", "--bound"]
+    code, out = run(capsys, *argv, "1")
     assert code == 0
     payload = json.loads(out)
-    assert payload["bound"] == 7
-    assert payload["status"] == "found"
+    validate(payload, "oracle_report")
+    assert (payload["mode"], payload["bound"], payload["status"]) == ("enum", 1, "unknown")
+    code, out = run(capsys, *argv, "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["mode"], payload["bound"], payload["status"]) == ("enum", 5, "found")
+
+
+def test_oracle_iso_has_no_mode_option(capsys):
+    code = main(["oracle-iso", "B(3,2,1,3)", "B(3,1,4,0)", "--mode", "exact"])
+    assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_iso_rejects_bound_below_one(capsys):
@@ -135,16 +165,16 @@ def test_oracle_iso_rejects_bound_below_one(capsys):
     assert "--bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-@pytest.mark.parametrize("command", ["compare", "oracle-iso"])
-def test_bad_env_bound_is_usage_error(capsys, monkeypatch, command, value):
-    monkeypatch.setenv("TORUSCLASS_ORACLE_BOUND", value)
-    code = main([command, "A(2,1,1,1)", "A(2,-1,1,1)"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: TORUSCLASS_ORACLE_BOUND must be an integer >= 1, "
-                            f"got {value!r}\n")
+def test_compare_reads_no_bound_from_the_environment(capsys, monkeypatch):
+    # A(2,1,1,1) ~ A(2,-1,1,1) is ring-isomorphic, so both oracle searches
+    # run; the variable that once set their window is no longer read
+    argv = ["compare", "A(2,1,1,1)", "A(2,-1,1,1)"]
+    code, before = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("TORUSCLASS_ORACLE_BOUND", "abc")
+    code, after = run(capsys, *argv)
+    assert code == 0
+    assert after == before
 
 
 # --- table -------------------------------------------------------------------------------

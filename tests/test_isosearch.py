@@ -1,16 +1,19 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import grid_descriptors
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchConfig, _egcd,
+from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, _egcd, _int_roots,
                                   _line_image, _Monomials, _nilpotent_directions,
-                                  _ueval, check_preserves, find_iso, iter_isos,
-                                  verify_iso)
+                                  _rational_roots, _ueval, check_preserves, find_iso,
+                                  iter_isos, verify_iso)
 from torusclass.quotient import (RingPresentation, TruncatedProducts, canonicalize,
                                  evaluate_hom, graded_ranks, normal_form,
                                  presentation_mod2)
@@ -237,8 +240,8 @@ def test_exact_and_enum_agree_when_both_definite():
         (B(3, 1, 2, 0), B(3, 3, 2, 0)),
     ]
     for d1, d2 in pairs:
-        exact = find_iso(ring(d1), ring(d2), SearchConfig(bound=6, mode="exact"))
-        enum = find_iso(ring(d1), ring(d2), SearchConfig(bound=6, mode="enum"))
+        exact = find_iso(ring(d1), ring(d2))
+        enum = find_iso(ring(d1), ring(d2), bound=6)
         assert exact.definite
         if enum.definite:
             assert exact.status == enum.status
@@ -248,9 +251,15 @@ def test_exact_and_enum_agree_when_both_definite():
 
 def test_enum_unknown_on_exhaustion():
     # bound 1 cannot reach the half-twist coefficient a = 5
-    res = find_iso(ring(B(3, 1, 2, 0)), ring(B(3, 3, 2, 0)),
-                   SearchConfig(bound=1, mode="enum"))
+    res = find_iso(ring(B(3, 1, 2, 0)), ring(B(3, 3, 2, 0)), bound=1)
     assert res.status == UNKNOWN
+
+
+def test_bound_below_one_is_rejected():
+    P = ring(A(1, 1, 1, 1))
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            find_iso(P, P, bound=bound)
 
 
 def test_iter_isos_yields_verified_distinct_witnesses():
@@ -397,6 +406,28 @@ def test_egcd_of_negated_pair():
         g, s_a, s_b = _egcd(p, q)
         assert _egcd(-p, -q) == (-g, s_a, s_b)
         assert p * s_a + q * s_b == g
+
+
+def _umul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+@given(roots=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)), min_size=1, max_size=4),
+       cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any))
+def test_rational_roots_of_a_product(roots, cofactor):
+    # each (p, q) plants the root p/q through the factor q y - p
+    u = cofactor
+    for p, q in roots:
+        u = _umul(u, [-p, q])
+    got = _rational_roots(u)
+    assert got == sorted(set(got))
+    assert {Fraction(p, q) for p, q in roots} <= set(got)
+    assert all(sum(c * r ** i for i, c in enumerate(u)) == 0 for r in got)
+    assert _int_roots(u) == [r for r in got if r.denominator == 1]
 
 
 def test_nilpotent_directions_are_exactly_the_nilpotent_ones():
