@@ -9,6 +9,18 @@ Chern-type classes.  Family B (sphere bundles) splits by base dimension:
 stable bundle data for l >= 4, the first Pontrjagin coefficient
 k1 * rho^2 for l in {2, 3}, and the bundle parity class for l = 1.
 
+Each verdict compares per-descriptor class keys, so both relations are
+equivalence relations by construction.  diffeo_key(d) and ring_key(d)
+return (rule, data...) for the normalized descriptor.  The rules are
+A.product (sorted factor dimensions), A.twist (l, k1+k2 and the twist
+normal form), B.stable (l >= 4), B.pontrjagin (l in {2, 3}), B.parity
+(l = 1), and for the ring key of family B, B.product and B.twisted.
+Translating the Chern roots by r moves the linear coefficient k1*rho by
+(k1+k2) r, so the twist normal form puts it in [0, k1+k2) and keeps the
+smaller of the two signs; a member is a product of projective spaces
+exactly when that form is 1.  Both keys are cached, since an all-pairs
+sweep asks for each key once per pair.
+
 Every ring-equivalence verdict produced here is cross-validated against
 the independent isosearch oracle in the acceptance suite.
 
@@ -22,6 +34,7 @@ confirms on every tested grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
 from torusclass.isosearch import find_iso
@@ -89,17 +102,10 @@ def _twist_identity_holds(eps: int, r: int, d: ManifoldDescriptor,
     return lhs == rhs
 
 
-def bott_decomposable(d: ManifoldDescriptor) -> bool:
-    """Whether A(l,rho,k1,k2) is a product of two projective spaces.
-
-    For l > 1 only the untwisted bundle decomposes; over l = 1 a twist can
-    absorb rho exactly when k1+k2 divides rho*k1.
-    """
-    if d.family != "A":
-        raise ValueError("decomposability test applies to family A")
-    if d.ell > 1:
-        return d.rho == 0
-    return (d.rho * d.k1) % (d.k1 + d.k2) == 0
+def _twist_normal_form(rho: int, d: ManifoldDescriptor) -> tuple[int, ...]:
+    """The twist of (1 + rho x)^k1 whose linear coefficient lies in [0, k1+k2)."""
+    r = -(rho * d.k1 // (d.k1 + d.k2))
+    return _truncated_binomial_product([(r, d.k2), (rho + r, d.k1)], d.ell)
 
 
 def bott_equivalent(d: ManifoldDescriptor, dp: ManifoldDescriptor):
@@ -123,32 +129,56 @@ def bott_equivalent(d: ManifoldDescriptor, dp: ManifoldDescriptor):
 
 
 # --------------------------------------------------------------------------
-# family B: sphere bundle comparisons
+# class keys and the combined decision
 
 
-def sphere_equivalent(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> bool:
-    """Diffeomorphism test for sphere bundles with fiber dimension >= 4."""
-    if d.family != "B" or dp.family != "B":
-        raise ValueError("sphere comparison applies to family B")
-    if d.k1 + d.k2 < 2 or dp.k1 + dp.k2 < 2:
-        raise ValueError("degree-2 sphere bundles must be normalized first")
-    if d.ell != dp.ell:
-        return False
+@lru_cache(maxsize=4096)
+def diffeo_key(d: ManifoldDescriptor) -> tuple:
+    """Complete diffeomorphism invariant: (rule, data...), equal exactly for
+    diffeomorphic descriptors."""
+    d = normalize(d)
+    total = d.k1 + d.k2
+    if d.family == "A":
+        form = min(_twist_normal_form(d.rho, d), _twist_normal_form(-d.rho, d))
+        if not any(form[1:]):
+            return ("A.product", *sorted((d.ell, total - 1)))
+        return ("A.twist", d.ell, total, form)
     if d.ell >= 4:
-        same_sum = d.k1 + d.k2 == dp.k1 + dp.k2
-        if d.rho == 0 and dp.rho == 0:
-            return same_sum
-        return (abs(d.rho) == abs(dp.rho) != 0
-                and d.k1 == dp.k1 and d.k2 == dp.k2)
+        if d.rho == 0:
+            return ("B.stable", d.ell, total)
+        return ("B.stable", d.ell, abs(d.rho), d.k1, d.k2)
     if d.ell >= 2:
-        return (d.k1 + d.k2 == dp.k1 + dp.k2
-                and d.k1 * d.rho ** 2 == dp.k1 * dp.rho ** 2)
-    return (d.k1 + d.k2 == dp.k1 + dp.k2
-            and (d.k1 * d.rho) % 2 == (dp.k1 * dp.rho) % 2)
+        return ("B.pontrjagin", d.ell, total, d.k1 * d.rho ** 2)
+    return ("B.parity", 1, total, d.k1 * d.rho % 2)
 
 
-# --------------------------------------------------------------------------
-# the combined decision
+@lru_cache(maxsize=4096)
+def ring_key(d: ManifoldDescriptor) -> tuple:
+    """Complete invariant of the integral cohomology ring."""
+    d = normalize(d)
+    if d.family == "A":
+        return diffeo_key(d)
+    total = d.k1 + d.k2
+    # the ring of CP^l x S^(2k1+2k2)
+    if (d.rho == 0 or d.k2 > 0 or d.k1 >= d.ell + 1
+            or (d.rho % 2 == 0 and d.ell + 1 <= 2 * d.k1)):
+        return ("B.product", d.ell, total)
+    return ("B.twisted", d.ell, total, abs(d.rho) if 2 * d.k1 <= d.ell else None)
+
+
+# rule -> (reason when the keys agree, reason when they differ)
+_REASONS = {
+    "A.product": ("both are products of the same two projective spaces",
+                  "products of projective spaces with different factors"),
+    "A.twist": ("integral twist identity between the bundle classes",
+                "no integral twist matches the bundle classes"),
+    "B.stable": ("twist magnitudes and block multiplicities agree stably",
+                 "stable bundle data (twist magnitude, multiplicities) differ"),
+    "B.pontrjagin": ("fibers match and the first Pontrjagin coefficients k1*rho^2 agree",
+                     "first Pontrjagin coefficients k1*rho^2 differ (or fibers differ)"),
+    "B.parity": ("fibers match and the bundle parity classes over the 2-sphere agree",
+                 "bundle parity classes over the 2-sphere differ (or fibers differ)"),
+}
 
 
 def diffeomorphic(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> DiffeoVerdict:
@@ -162,72 +192,23 @@ def diffeomorphic(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> DiffeoVerdic
             NOT_DIFFEOMORPHIC,
             "second cohomology has rank 2 for projective bundles and rank 1 "
             "for higher sphere bundles")
-    if n1.family == "A":
-        dec1, dec2 = bott_decomposable(n1), bott_decomposable(n2)
-        if dec1 and dec2:
-            if sorted((n1.ell, n1.k1 + n1.k2 - 1)) == sorted((n2.ell, n2.k1 + n2.k2 - 1)):
-                return DiffeoVerdict(
-                    DIFFEOMORPHIC, "both are products of the same two projective spaces")
-            return DiffeoVerdict(
-                NOT_DIFFEOMORPHIC, "products of projective spaces with different factors")
-        if dec1 != dec2:
-            return DiffeoVerdict(
-                NOT_DIFFEOMORPHIC,
-                "exactly one side decomposes as a product of projective spaces")
-        params = bott_equivalent(n1, n2)
-        if params:
-            return DiffeoVerdict(
-                DIFFEOMORPHIC, "integral twist identity between the bundle classes",
-                witness_params=params)
-        return DiffeoVerdict(
-            NOT_DIFFEOMORPHIC, "no integral twist matches the bundle classes")
-    if n1.ell != n2.ell:
+    if n1.family == "B" and n1.ell != n2.ell:
         return DiffeoVerdict(NOT_DIFFEOMORPHIC, "base projective spaces differ")
-    if sphere_equivalent(n1, n2):
-        reason = {
-            1: "fibers match and the bundle parity classes over the 2-sphere agree",
-            2: "fibers match and the first Pontrjagin coefficients k1*rho^2 agree",
-            3: "fibers match and the first Pontrjagin coefficients k1*rho^2 agree",
-        }.get(n1.ell, "twist magnitudes and block multiplicities agree stably")
-        return DiffeoVerdict(DIFFEOMORPHIC, reason)
-    reason = {
-        1: "bundle parity classes over the 2-sphere differ (or fibers differ)",
-        2: "first Pontrjagin coefficients k1*rho^2 differ (or fibers differ)",
-        3: "first Pontrjagin coefficients k1*rho^2 differ (or fibers differ)",
-    }.get(n1.ell, "stable bundle data (twist magnitude, multiplicities) differ")
-    return DiffeoVerdict(NOT_DIFFEOMORPHIC, reason)
-
-
-def _product_ring_class(d: ManifoldDescriptor) -> bool:
-    """Whether the B-family ring is isomorphic to that of CP^l x S^(2k1+2k2)."""
-    if d.rho == 0 or d.k2 > 0:
-        return True
-    if d.k1 >= d.ell + 1:
-        return True
-    return d.rho % 2 == 0 and d.k1 < d.ell + 1 <= 2 * d.k1
+    key1, key2 = diffeo_key(d), diffeo_key(dp)
+    if key1[0] != key2[0]:
+        return DiffeoVerdict(
+            NOT_DIFFEOMORPHIC,
+            "exactly one side decomposes as a product of projective spaces")
+    agree, differ = _REASONS[key1[0]]
+    if key1 != key2:
+        return DiffeoVerdict(NOT_DIFFEOMORPHIC, differ)
+    params = bott_equivalent(n1, n2) if key1[0] == "A.twist" else None
+    return DiffeoVerdict(DIFFEOMORPHIC, agree, witness_params=params)
 
 
 def cohomology_isomorphic(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> bool:
     """Existence of a graded ring isomorphism between integral cohomologies."""
-    n1, n2 = normalize(d), normalize(dp)
-    if n1.family != n2.family:
-        return False
-    if n1.family == "A":
-        # projective bundles are cohomologically rigid: ring iso <=> diffeo
-        return diffeomorphic(n1, n2).diffeomorphic
-    if n1.ell != n2.ell or n1.k1 + n1.k2 != n2.k1 + n2.k2:
-        return False
-    if n1.ell == 1:
-        return True
-    t1, t2 = _product_ring_class(n1), _product_ring_class(n2)
-    if t1 and t2:
-        return True
-    if t1 != t2:
-        return False
-    # both twisted-class: k2 = 0 and k1 equal (same fiber), rho odd or small k1
-    if 2 * n1.k1 <= n1.ell:
-        return abs(n1.rho) == abs(n2.rho)
-    return True
+    return ring_key(d) == ring_key(dp)
 
 
 # --------------------------------------------------------------------------

@@ -112,8 +112,9 @@ def dj_cmd(matrix_path):
 @cli.command("oracle-iso")
 @click.argument("first")
 @click.argument("second")
-@click.option("--bound", type=click.IntRange(min=1), default=None,
-              help="Enumerate coefficients in [-N, N] instead of solving exactly.")
+@click.option("--bound", type=click.IntRange(min=1, max=30), default=None,
+              help="Enumerate coefficients in [-N, N] (1 <= N <= 30) instead of "
+                   "solving exactly.")
 def oracle_iso_cmd(first, second, bound):
     """Exact search (or, with --bound, bounded enumeration) for a graded
     ring isomorphism."""

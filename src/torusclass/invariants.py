@@ -47,6 +47,13 @@ class ManifoldDescriptor:
         if self.k2 < k2_min:
             raise DescriptorError(
                 f"family {self.family} requires k2 >= {k2_min}, got {self.k2}")
+        # once: an all-pairs sweep hashes each descriptor per pair for the
+        # class-key caches; ints only, so copies in other processes agree
+        object.__setattr__(self, "_hash", hash(
+            (self.family == "A", self.ell, self.rho, self.k1, self.k2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     _GRAMMAR = re.compile(
         r"\s*([AB])\s*\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)\s*$")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import sys
 
 import pytest
@@ -8,10 +10,9 @@ import torusclass.invariants as invariants
 from conftest import grid_descriptors
 from torusclass.classify import (DIFFEOMORPHIC, DIMENSION_MISMATCH,
                                  NOT_DIFFEOMORPHIC, InternalConsistencyError,
-                                 bott_decomposable, bott_equivalent,
-                                 cohomology_isomorphic, compare_report,
-                                 diffeomorphic, normalize, rigidity_class,
-                                 sphere_equivalent)
+                                 bott_equivalent, cohomology_isomorphic,
+                                 compare_report, diffeo_key, diffeomorphic,
+                                 normalize, rigidity_class, ring_key)
 from torusclass.invariants import ManifoldDescriptor
 
 A = lambda *a: ManifoldDescriptor("A", *a)
@@ -28,25 +29,24 @@ def test_normalize():
 
 # --- decomposability --------------------------------------------------------------
 
-def test_bott_decomposable_high_base():
-    assert bott_decomposable(A(2, 0, 1, 1))
-    assert not bott_decomposable(A(2, 1, 1, 1))
+def is_product(d):
+    return diffeo_key(d)[0] == "A.product"
 
 
-def test_bott_decomposable_low_base_parity():
+def test_product_key_high_base():
+    assert is_product(A(2, 0, 1, 1))
+    assert not is_product(A(2, 1, 1, 1))
+
+
+def test_product_key_low_base_parity():
     # over CP^1 a twist can absorb rho exactly when k1+k2 divides rho*k1:
     # the even-twist degree-2 bundle is the trivial one
-    assert bott_decomposable(A(1, 2, 1, 1))
-    assert not bott_decomposable(A(1, 3, 1, 1))
-    assert bott_decomposable(A(1, 4, 1, 1))
+    assert is_product(A(1, 2, 1, 1))
+    assert not is_product(A(1, 3, 1, 1))
+    assert is_product(A(1, 4, 1, 1))
     # non-coprime block sizes: 4 | rho*2 iff rho even
-    assert bott_decomposable(A(1, 2, 2, 2))
-    assert not bott_decomposable(A(1, 1, 2, 2))
-
-
-def test_bott_decomposable_wrong_family():
-    with pytest.raises(ValueError):
-        bott_decomposable(B(1, 1, 1, 1))
+    assert is_product(A(1, 2, 2, 2))
+    assert not is_product(A(1, 1, 2, 2))
 
 
 # --- twist equivalence ---------------------------------------------------------------
@@ -80,29 +80,24 @@ def test_bott_equivalent_verifies_higher_coefficients():
     assert bott_equivalent(A(2, 1, 2, 1), A(2, 1, 1, 2)) is not None
 
 
-# --- sphere equivalence ----------------------------------------------------------------
+# --- sphere bundle keys ----------------------------------------------------------------
 
-def test_sphere_equivalent_pontrjagin_coefficient():
-    assert sphere_equivalent(B(3, 2, 1, 3), B(3, 1, 4, 0))
-    assert not sphere_equivalent(B(3, 2, 4, 0), B(3, 1, 4, 0))
-
-
-def test_sphere_equivalent_parity():
-    assert not sphere_equivalent(B(1, 1, 1, 1), B(1, 0, 1, 1))
-    assert sphere_equivalent(B(1, 7, 2, 1), B(1, 0, 3, 0))  # both even k1*rho? 14 vs 0
-    assert sphere_equivalent(B(1, 1, 1, 1), B(1, 3, 1, 1))
-    assert not sphere_equivalent(B(1, 1, 1, 1), B(1, 1, 2, 0))
+def test_sphere_key_pontrjagin_coefficient():
+    assert diffeo_key(B(3, 2, 1, 3)) == diffeo_key(B(3, 1, 4, 0))
+    assert diffeo_key(B(3, 2, 4, 0)) != diffeo_key(B(3, 1, 4, 0))
 
 
-def test_sphere_equivalent_stable_range():
-    assert sphere_equivalent(B(5, 3, 2, 1), B(5, -3, 2, 1))
-    assert not sphere_equivalent(B(5, 3, 2, 1), B(5, 3, 1, 2))
-    assert sphere_equivalent(B(4, 0, 2, 1), B(4, 0, 1, 2))
+def test_sphere_key_parity():
+    assert diffeo_key(B(1, 1, 1, 1)) != diffeo_key(B(1, 0, 1, 1))
+    assert diffeo_key(B(1, 7, 2, 1)) == diffeo_key(B(1, 0, 3, 0))  # both even k1*rho? 14 vs 0
+    assert diffeo_key(B(1, 1, 1, 1)) == diffeo_key(B(1, 3, 1, 1))
+    assert diffeo_key(B(1, 1, 1, 1)) != diffeo_key(B(1, 1, 2, 0))
 
 
-def test_sphere_equivalent_rejects_degree_two():
-    with pytest.raises(ValueError):
-        sphere_equivalent(B(2, 1, 1, 0), B(2, 1, 1, 1))
+def test_sphere_key_stable_range():
+    assert diffeo_key(B(5, 3, 2, 1)) == diffeo_key(B(5, -3, 2, 1))
+    assert diffeo_key(B(5, 3, 2, 1)) != diffeo_key(B(5, 3, 1, 2))
+    assert diffeo_key(B(4, 0, 2, 1)) == diffeo_key(B(4, 0, 1, 2))
 
 
 # --- diffeomorphic ------------------------------------------------------------------------
@@ -246,6 +241,27 @@ def test_one_ring_per_descriptor(monkeypatch):
 
 
 # --- relation properties --------------------------------------------------------------------------
+
+VERDICTS_DIGEST = "c0bde6d12c4a2aceca6e38122887427a046bb254d9a31e10a346382940a6e92f"
+
+
+def test_verdicts_pinned():
+    # every ordered GRID4 pair: outcome, reason, witness and ring verdict
+    h = hashlib.sha256()
+    for d1, d2 in itertools.product(grid_descriptors(4, 4, 3), repeat=2):
+        h.update(json.dumps([str(d1), str(d2), diffeomorphic(d1, d2).to_json(),
+                             cohomology_isomorphic(d1, d2)], sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == VERDICTS_DIGEST
+
+
+def test_diffeo_key_refines_ring_key():
+    # diffeomorphic implies ring-isomorphic: no diffeo class spans two ring classes
+    ring_of = {}
+    for d in grid_descriptors(6, 6, 5):
+        ring_of.setdefault(diffeo_key(d), set()).add(ring_key(d))
+    assert len(ring_of) == 777
+    assert len(set().union(*ring_of.values())) == 315
+    assert all(len(rings) == 1 for rings in ring_of.values())
 
 SMALL_GRID = grid_descriptors(3, 3, 2)
 

@@ -165,6 +165,15 @@ def test_oracle_iso_rejects_bound_below_one(capsys):
     assert "--bound" in capsys.readouterr().err
 
 
+def test_oracle_iso_rejects_bound_above_thirty(capsys):
+    # the degree-2 enumeration runs (2N+1)^4 tuples; N = 30 takes seconds
+    code = main(["oracle-iso", "A(3,2,2,2)", "A(3,3,2,2)", "--bound", "31"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound" in captured.err
+
+
 def test_compare_reads_no_bound_from_the_environment(capsys, monkeypatch):
     # A(2,1,1,1) ~ A(2,-1,1,1) is ring-isomorphic, so both oracle searches
     # run; the variable that once set their window is no longer read

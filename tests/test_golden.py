@@ -21,6 +21,8 @@ CASES = [
     ("compare_B3213_B3140.json", ["compare", "B(3,2,1,3)", "B(3,1,4,0)"], "compare_report"),
     ("compare_B3240_B3140.json", ["compare", "B(3,2,4,0)", "B(3,1,4,0)"], "compare_report"),
     ("compare_B3213_B3240.json", ["compare", "B(3,2,1,3)", "B(3,2,4,0)"], "compare_report"),
+    ("compare_A2121_A2112.json", ["compare", "A(2,1,2,1)", "A(2,1,1,2)"], "compare_report"),
+    ("compare_A3011_A1022.json", ["compare", "A(3,0,1,1)", "A(1,0,2,2)"], "compare_report"),
     ("invariants_B3213.json", ["invariants", "B(3,2,1,3)"], "invariants_report"),
     ("oracle_B3213_B3140.json", ["oracle-iso", "B(3,2,1,3)", "B(3,1,4,0)"], "oracle_report"),
 ]
