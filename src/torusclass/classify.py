@@ -24,6 +24,16 @@ sweep asks for each key once per pair.
 Every ring-equivalence verdict produced here is cross-validated against
 the independent isosearch oracle in the acceptance suite.
 
+compare_report takes each side's ring and classes from _pair_report, an
+lru_cache of invariants.report bounded at 512 descriptors: a pass over
+the 448 descriptors of a grid pairs each one with about a dozen others,
+and a cached report holds about 3 KB.  invariants.report itself is left
+uncached, since table visits every descriptor once and a cache there
+would only hold memory.  The w-preserving search is skipped when the
+witness of the p-preserving one already carries w to w' (check_preserves
+is exact, and the exact search finds a w-preserving isomorphism whenever
+one exists), so both booleans are those of two separate searches.
+
 Note on the l = 1 projective-bundle case: the twist identity below
 implies equivalence classes mod k1 + k2 (e.g. the degree-2 sphere bundles
 over the 2-sphere split into exactly two diffeomorphism classes by
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
-from torusclass.isosearch import find_iso
+from torusclass.isosearch import check_preserves, find_iso
 
 
 class InternalConsistencyError(RuntimeError):
@@ -274,17 +284,26 @@ class CompareReport:
         }
 
 
+@lru_cache(maxsize=512)
+def _pair_report(d: ManifoldDescriptor):
+    """report(d), kept for the pairwise path, where a descriptor recurs in
+    many pairs."""
+    return report(d)
+
+
 def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareReport:
     """Ring equivalence, class-preserving-isomorphism existence (via the
     exact oracle), diffeomorphism verdict, and rigidity tags for a pair."""
     ring_iso = cohomology_isomorphic(d, dp)
     verdict = diffeomorphic(d, dp)
     if ring_iso:
-        r1, r2 = report(d), report(dp)
-        p_pres = find_iso(r1.cohomology, r2.cohomology,
-                          [(r1.pontrjagin, r2.pontrjagin)]).found
-        w_pres = find_iso(r1.cohomology, r2.cohomology,
-                          [(r1.stiefel_whitney, r2.stiefel_whitney)]).found
+        r1, r2 = _pair_report(d), _pair_report(dp)
+        w_pair = (r1.stiefel_whitney, r2.stiefel_whitney)
+        p_search = find_iso(r1.cohomology, r2.cohomology,
+                            [(r1.pontrjagin, r2.pontrjagin)])
+        p_pres = p_search.found
+        w_pres = ((p_pres and check_preserves(p_search.witness, *w_pair))
+                  or find_iso(r1.cohomology, r2.cohomology, [w_pair]).found)
     else:
         p_pres = w_pres = False
     if verdict.diffeomorphic and not (ring_iso and p_pres and w_pres):

@@ -136,9 +136,10 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(factors: dict[int, int]) -> list[int]:
+    """The positive divisors of the number with this factorization."""
     divs = [1]
-    for p, e in _factorize(n).items():
+    for p, e in factors.items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -194,8 +195,12 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _int_roots(u: list[int]) -> list[int]:
-    """All integer roots of a nonzero integer polynomial."""
+def _int_roots(u: list[int], factors: dict[int, int] | None = None) -> list[int]:
+    """All integer roots of a nonzero integer polynomial.
+
+    `factors`, if given, is the factorization of its lowest nonzero
+    coefficient; it is computed here otherwise.
+    """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
@@ -221,7 +226,7 @@ def _int_roots(u: list[int]) -> list[int]:
                     if num % (2 * c2) == 0:
                         roots.add(num // (2 * c2))
     elif deg >= 3:
-        for d in _divisors(u[0]):
+        for d in _divisors(_factorize(u[0]) if factors is None else factors):
             for t in (d, -d):
                 if _ueval(u, t) == 0:
                     roots.add(t)
@@ -231,16 +236,26 @@ def _int_roots(u: list[int]) -> list[int]:
 def _rational_roots(u: list[int]) -> list[Fraction]:
     """All rational roots of a nonzero integer polynomial.
 
-    For degree n and leading coefficient a they are t/a for the integer
-    roots t of the monic a^(n-1) u(y/a), whose coefficients are
-    u_i a^(n-1-i).
+    Zero roots are taken off first.  For degree n and leading coefficient
+    a the others are t/a for the integer roots t of the monic
+    a^(n-1) u(y/a), whose coefficients are u_i a^(n-1-i).  Its constant
+    u_0 a^(n-1) is factored from the factorizations of u_0 and of a, so
+    no number larger than the coefficients of u is factored.
     """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
+    zeros = [Fraction(0)] if u[0] == 0 else []
+    while u[0] == 0:
+        u.pop(0)
     a, n = u[-1], len(u) - 1
     monic = [c * a ** (n - 1 - i) for i, c in enumerate(u[:-1])] + [1]
-    return sorted(Fraction(t, a) for t in _int_roots(monic))
+    factors = None
+    if n >= 3:  # _int_roots lists divisors only from degree 3 on
+        factors = _factorize(u[0])
+        for p, e in _factorize(a).items():
+            factors[p] = factors.get(p, 0) + e * (n - 1)
+    return sorted(zeros + [Fraction(t, a) for t in _int_roots(monic, factors)])
 
 
 # --------------------------------------------------------------------------

@@ -209,6 +209,21 @@ def test_compare_report_w_obstruction():
     assert rep.rigidity == ("R3", "R3")
 
 
+COMPARE_REPORTS_DIGEST = "cce010a7e259ca5189157b3b38ead8263b7b07db4f3d740ef7914020d9314dae"
+
+
+def test_compare_reports_pinned():
+    # every ring-isomorphic GRID4 pair and two large ones, with both class searches
+    pairs = [(d1, d2) for d1, d2 in itertools.combinations(grid_descriptors(4, 4, 3), 2)
+             if cohomology_isomorphic(d1, d2)]
+    assert len(pairs) == 2710
+    pairs += [(A(3, 5, 30, 30), A(3, -5, 30, 30)), (B(3, 5, 40, 20), B(3, -5, 40, 20))]
+    h = hashlib.sha256()
+    for d1, d2 in pairs:
+        h.update(json.dumps(compare_report(d1, d2).to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == COMPARE_REPORTS_DIGEST
+
+
 def _count_cohomology(monkeypatch) -> list:
     """Record every call of invariants.cohomology, through whichever
     torusclass module namespace it is called."""
@@ -228,6 +243,7 @@ def _count_cohomology(monkeypatch) -> list:
 
 def test_one_ring_per_descriptor(monkeypatch):
     d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
+    classify._pair_report.cache_clear()
     expected = invariants.report(d1)
     calls = _count_cohomology(monkeypatch)
     rep = invariants.report(d1)
@@ -238,6 +254,13 @@ def test_one_ring_per_descriptor(monkeypatch):
     calls.clear()
     assert compare_report(d1, d2).ring_isomorphic
     assert sorted(map(str, calls)) == sorted(map(str, (d1, d2)))
+    # the pairwise path reuses both reports; report itself stays uncached
+    calls.clear()
+    assert compare_report(d1, d2).ring_isomorphic
+    assert calls == []
+    for _ in range(2):
+        invariants.report(d1)
+    assert calls == [d1, d1]
 
 
 # --- relation properties --------------------------------------------------------------------------

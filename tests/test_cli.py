@@ -62,8 +62,10 @@ def test_compare_verdicts_are_data_not_exit_codes(capsys):
 
 
 def test_compare_oracle_disagreement_exit_code(capsys, monkeypatch):
-    # a diffeomorphic pair for which the p-preserving (first) or the
-    # w-preserving (second) search says "no" is a consistency failure
+    # a diffeomorphic pair for which the p-preserving (first) search says
+    # "no", or for which the w decision says "no" (the p witness does not
+    # carry w, and the w-preserving second search finds nothing), is a
+    # consistency failure
     real = classify.find_iso
     for failing in (1, 2):
         calls = []
@@ -75,9 +77,12 @@ def test_compare_oracle_disagreement_exit_code(capsys, monkeypatch):
             return real(P1, P2, preserve, **kwargs)
 
         monkeypatch.setattr(classify, "find_iso", find_iso)
+        if failing == 2:
+            monkeypatch.setattr(classify, "check_preserves", lambda *args: False)
         code = main(["compare", "B(3,2,1,3)", "B(3,1,4,0)"])
         captured = capsys.readouterr()
         assert code == 2, failing
+        assert len(calls) == 2, failing
         assert captured.out == ""
         assert "internal consistency failure" in captured.err
 

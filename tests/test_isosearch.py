@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,16 @@ def test_rational_roots_of_a_product(roots, cofactor):
     assert {Fraction(p, q) for p, q in roots} <= set(got)
     assert all(sum(c * r ** i for i, c in enumerate(u)) == 0 for r in got)
     assert _int_roots(u) == [r for r in got if r.denominator == 1]
+
+
+def test_rational_roots_factor_no_large_constant(monkeypatch):
+    # the monic transform of 100003 y^3 + ... has constant 100003^2, past
+    # the trial-division limit; it is factored from its parts instead
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert _rational_roots([1, 0, 0, 100003]) == []
+    # (100003 y + 1)(y^2 + 1), and the same times y^2
+    assert _rational_roots([1, 100003, 1, 100003]) == [Fraction(-1, 100003)]
+    assert _rational_roots([0, 0, 1, 100003, 1, 100003]) == [Fraction(-1, 100003), 0]
 
 
 def test_nilpotent_directions_are_exactly_the_nilpotent_ones():
