@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 import torusclass.classify as classify
 from torusclass.cli import main
@@ -244,3 +245,89 @@ def test_bad_range_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# --- the exit-code contract -----------------------------------------------------------------
+
+# every table invocation below names all four ranges unless the case is about one
+_GRID = ["--l", "1..1", "--rho", "0..0", "--k1", "1..1", "--k2", "1..1"]
+
+# (argv, exit code, stdout empty, substrings of stderr); recorded from the
+# click front end and kept through the move to argparse
+CONTRACT = [
+    (["invariants", "X(1,1,1,1)"], 1, True,
+     ["cannot parse descriptor 'X(1,1,1,1)'"]),
+    (["compare", "B(3,2,1,3)", "nope"], 1, True, ["cannot parse descriptor 'nope'"]),
+    (["frobnicate"], 1, True, ["frobnicate"]),
+    ([], 1, True, []),
+    (["invariants"], 1, True, ["DESCRIPTOR"]),
+    (["compare", "B(3,2,1,3)"], 1, True, ["SECOND"]),
+    (["invariants", "A(1,1,1,1)", "extra"], 1, True, ["extra"]),
+    (["invariants", "--foo", "A(1,1,1,1)"], 1, True, ["--foo"]),
+    (["invariants", "-h"], 1, True, ["-h"]),
+    (["table", *_GRID[:6]], 1, True, ["--k2"]),
+    (["table", *_GRID, "--format", "xml"], 1, True, ["--format", "'xml'"]),
+    (["table", *_GRID, "--family", "C"], 1, True, ["--family", "'C'"]),
+    (["table", "--l", "x", *_GRID[2:]], 1, True, ["--l", "cannot parse range 'x'"]),
+    (["table", "--l", "3..1", *_GRID[2:]], 1, True, ["--l", "empty range '3..1'"]),
+    (["table", *_GRID[:2], "--rho", *_GRID[4:]], 1, True,
+     ["--rho", "cannot parse range '--k1'"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"], 1, True,
+     ["--bound", "1<=x<=30"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "31"], 1, True,
+     ["--bound", "1<=x<=30"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "abc"], 1, True,
+     ["--bound", "'abc'"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound"], 1, True, ["--bound"]),
+    (["dj"], 1, True, ["--matrix"]),
+    (["dj", "--matrix", "no/such/matrix.json"], 1, True,
+     ["--matrix", "'no/such/matrix.json' does not exist"]),
+    (["dj", "--matrix", "."], 1, True, ["--matrix", "'.' is a directory"]),
+    (["table", "--l", "1..1", "--rho", "-1..1", "--k1", "1..1", "--k2", "1..1"], 0, False, []),
+    (["table", "--l", "1..1", "--rho", "-1", "--k1", "1..1", "--k2", "1..1"], 0, False, []),
+    (["--help"], 0, False, []),
+    *[([cmd, "--help"], 0, False, [])
+      for cmd in ("invariants", "compare", "rigidity", "dj", "oracle-iso", "table")],
+]
+
+
+@pytest.mark.parametrize("argv,code,out_empty,err_parts", CONTRACT,
+                         ids=[" ".join(c[0]) or "(none)" for c in CONTRACT])
+def test_exit_code_contract(capsys, argv, code, out_empty, err_parts):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out == "") == out_empty
+    for part in err_parts:
+        assert part in captured.err
+    if code == 0:
+        assert captured.err == ""
+
+
+def test_negative_range_is_a_value(capsys):
+    # '--rho -1..1' and '--rho=-1..1' read the same range
+    rows = []
+    for rho in (["--rho", "-1..1"], ["--rho=-1..1"]):
+        code, out = run(capsys, "table", "--l", "1..1", *rho, "--k1", "1..1", "--k2", "1..1")
+        assert code == 0
+        rows.append(json.loads(out))
+    assert rows[0] == rows[1]
+    assert [r["descriptor"] for r in rows[0]] == [
+        f"{fam}(1,{rho},1,1)" for fam in "AB" for rho in (-1, 0, 1)]
+
+
+# each command's one-line help
+ONE_LINE_HELP = {
+    "invariants": "Dimension, cohomology ring, Pontrjagin and Stiefel-Whitney classes.",
+    "compare": "Pairwise report: ring isomorphism, class preservation, verdict.",
+    "rigidity": "Rigidity stratum of a descriptor, with the matching clause.",
+    "dj": "Cohomology presentation and characteristic classes from facet data.",
+    "oracle-iso": "Exact search (or, with --bound, bounded enumeration) for a graded "
+                  "ring isomorphism.",
+    "table": "Classification table over a parameter grid, one row per descriptor.",
+}
+
+
+@pytest.mark.parametrize("cmd", ONE_LINE_HELP)
+def test_command_help_text(capsys, cmd):
+    assert main([cmd, "--help"]) == 0
+    assert ONE_LINE_HELP[cmd] in " ".join(capsys.readouterr().out.split())
