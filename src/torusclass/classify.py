@@ -43,7 +43,6 @@ confirms on every tested grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
@@ -59,11 +58,14 @@ NOT_DIFFEOMORPHIC = "not_diffeomorphic"
 DIMENSION_MISMATCH = "dimension_mismatch"
 
 
-@dataclass
 class DiffeoVerdict:
-    outcome: str
-    reason: str
-    witness_params: tuple[int, int] | None = None
+    __slots__ = ("outcome", "reason", "witness_params")
+
+    def __init__(self, outcome: str, reason: str,
+                 witness_params: tuple[int, int] | None = None):
+        self.outcome = outcome
+        self.reason = reason
+        self.witness_params = witness_params
 
     @property
     def diffeomorphic(self) -> bool:
@@ -261,16 +263,21 @@ def rigidity_class(d: ManifoldDescriptor) -> str:
 # aggregated pairwise report
 
 
-@dataclass
 class CompareReport:
-    first: ManifoldDescriptor
-    second: ManifoldDescriptor
-    dimensions: tuple[int, int]
-    ring_isomorphic: bool
-    p_preservable: bool
-    w_preservable: bool
-    verdict: DiffeoVerdict
-    rigidity: tuple[str, str]
+    __slots__ = ("first", "second", "dimensions", "ring_isomorphic", "p_preservable",
+                 "w_preservable", "verdict", "rigidity")
+
+    def __init__(self, first: ManifoldDescriptor, second: ManifoldDescriptor,
+                 dimensions: tuple[int, int], ring_isomorphic: bool, p_preservable: bool,
+                 w_preservable: bool, verdict: DiffeoVerdict, rigidity: tuple[str, str]):
+        self.first = first
+        self.second = second
+        self.dimensions = dimensions
+        self.ring_isomorphic = ring_isomorphic
+        self.p_preservable = p_preservable
+        self.w_preservable = w_preservable
+        self.verdict = verdict
+        self.rigidity = rigidity
 
     def to_json(self) -> dict:
         return {

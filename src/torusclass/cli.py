@@ -1,106 +1,116 @@
 """Command-line front end.
 
-Verdicts are data (JSON on stdout), never exit codes: 0 means the command
-ran, 1 is a usage or parse error, 2 an internal consistency failure.
+Verdicts are data (JSON on stdout), never exit codes.  ``main`` returns
+
+* 0 when the command ran, and for ``--help`` (printed to stdout);
+* 1 for a usage or parse error: an unknown command or option, a missing
+  or malformed argument, a bad descriptor or matrix file.  The usage
+  line and the error go to stderr, and stdout stays empty;
+* 2 for an internal consistency failure, reported on stderr.
+
+A reader that closes stdout early (``| head``) ends the command with exit
+1 and no message.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from torusclass import classify, quasitoric
 from torusclass.classify import InternalConsistencyError
-from torusclass.invariants import DescriptorError, ManifoldDescriptor, report
+from torusclass.invariants import DescriptorError, ManifoldDescriptor, cohomology, report
 from torusclass.isosearch import find_iso
 
 
+class UsageError(Exception):
+    """Bad input found after parsing; reported like a parse error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors exit 1, the CLI's usage-error code."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _emit(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _descriptor(text: str) -> ManifoldDescriptor:
     try:
         return ManifoldDescriptor.parse(text)
     except DescriptorError as e:
-        raise click.UsageError(str(e))
+        raise UsageError(str(e))
 
 
-class RangeType(click.ParamType):
+def _range(text: str) -> range:
     """Inclusive integer range 'a..b', or a single integer."""
-
-    name = "range"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, range):
-            return value
-        text = str(value)
-        try:
-            if ".." in text:
-                lo, hi = text.split("..", 1)
-                lo, hi = int(lo), int(hi)
-            else:
-                lo = hi = int(text)
-        except ValueError:
-            self.fail(f"cannot parse range {text!r}: expected 'a..b' or 'a'", param, ctx)
-        if hi < lo:
-            self.fail(f"empty range {text!r}", param, ctx)
-        return range(lo, hi + 1)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse range {text!r}: expected 'a..b' or 'a'")
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
-RANGE = RangeType()
+def _bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
+    if not 1 <= value <= 30:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range 1<=x<=30")
+    return value
 
 
-@click.group()
-def cli():
-    """Exact invariants and diffeomorphism classification for the two
-    bundle families A(l,rho,k1,k2) and B(l,rho,k1,k2)."""
+def _existing_file(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    return text
 
 
-@cli.command("invariants")
-@click.argument("descriptor")
-def invariants_cmd(descriptor):
+def invariants_cmd(args):
     """Dimension, cohomology ring, Pontrjagin and Stiefel-Whitney classes."""
-    d = _descriptor(descriptor)
-    _emit(report(d).to_json())
+    _emit(report(_descriptor(args.descriptor)).to_json())
 
 
-@cli.command("compare")
-@click.argument("first")
-@click.argument("second")
-def compare_cmd(first, second):
+def compare_cmd(args):
     """Pairwise report: ring isomorphism, class preservation, verdict."""
-    d1, d2 = _descriptor(first), _descriptor(second)
+    d1, d2 = _descriptor(args.first), _descriptor(args.second)
     _emit(classify.compare_report(d1, d2).to_json())
 
 
-@cli.command("rigidity")
-@click.argument("descriptor")
-def rigidity_cmd(descriptor):
+def rigidity_cmd(args):
     """Rigidity stratum of a descriptor, with the matching clause."""
-    d = _descriptor(descriptor)
+    d = _descriptor(args.descriptor)
     tag = classify.rigidity_class(d)
     (_, clause), = classify.rigidity_clauses(d)
     _emit({"descriptor": d.render(), "rigidity": tag, "clause": clause})
 
 
-@cli.command("dj")
-@click.option("--matrix", "matrix_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON file {\"blocks\": [...], \"rows\": [[...], ...]}.")
-def dj_cmd(matrix_path):
+def dj_cmd(args):
     """Cohomology presentation and characteristic classes from facet data."""
     try:
-        with open(matrix_path, encoding="utf-8") as fh:
+        with open(args.matrix, encoding="utf-8") as fh:
             data = json.load(fh)
         cm = quasitoric.CharMatrix.from_json(data)
         fr = quasitoric.face_ring(cm.blocks)
         pres = quasitoric.eliminate(fr, quasitoric.linear_ideal(cm))
         p, w = quasitoric.dj_characteristic_classes(cm)
     except (KeyError, TypeError, ValueError) as e:
-        raise click.UsageError(f"bad matrix file: {e}")
+        raise UsageError(f"bad matrix file: {e}")
     _emit({
         "matrix": cm.to_json(),
         "presentation": pres.to_json(),
@@ -109,23 +119,14 @@ def dj_cmd(matrix_path):
     })
 
 
-@cli.command("oracle-iso")
-@click.argument("first")
-@click.argument("second")
-@click.option("--bound", type=click.IntRange(min=1, max=30), default=None,
-              help="Enumerate coefficients in [-N, N] (1 <= N <= 30) instead of "
-                   "solving exactly.")
-def oracle_iso_cmd(first, second, bound):
-    """Exact search (or, with --bound, bounded enumeration) for a graded
-    ring isomorphism."""
-    from torusclass.invariants import cohomology
-
-    d1, d2 = _descriptor(first), _descriptor(second)
-    res = find_iso(cohomology(d1), cohomology(d2), bound=bound)
+def oracle_iso_cmd(args):
+    """Exact search (or, with --bound, bounded enumeration) for a graded ring isomorphism."""
+    d1, d2 = _descriptor(args.first), _descriptor(args.second)
+    res = find_iso(cohomology(d1), cohomology(d2), bound=args.bound)
     payload = {
         "descriptors": [d1.render(), d2.render()],
-        "bound": bound,
-        "mode": "exact" if bound is None else "enum",
+        "bound": args.bound,
+        "mode": "exact" if args.bound is None else "enum",
         "status": res.status,
         "witness": None,
     }
@@ -134,24 +135,15 @@ def oracle_iso_cmd(first, second, bound):
     _emit(payload)
 
 
-@cli.command("table")
-@click.option("--l", "l_range", type=RANGE, required=True)
-@click.option("--rho", "rho_range", type=RANGE, required=True)
-@click.option("--k1", "k1_range", type=RANGE, required=True)
-@click.option("--k2", "k2_range", type=RANGE, required=True)
-@click.option("--family", type=click.Choice(["A", "B"]), default=None,
-              help="Restrict to one family (default: both).")
-@click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json",
-              show_default=True)
-def table_cmd(l_range, rho_range, k1_range, k2_range, family, fmt):
+def table_cmd(args):
     """Classification table over a parameter grid, one row per descriptor."""
-    families = [family] if family else ["A", "B"]
+    families = [args.family] if args.family else ["A", "B"]
     rows = []
     for fam in families:
-        for ell in l_range:
-            for rho in rho_range:
-                for k1 in k1_range:
-                    for k2 in k2_range:
+        for ell in args.l:
+            for rho in args.rho:
+                for k1 in args.k1:
+                    for k2 in args.k2:
                         try:
                             d = ManifoldDescriptor(fam, ell, rho, k1, k2)
                         except DescriptorError:
@@ -165,31 +157,90 @@ def table_cmd(l_range, rho_range, k1_range, k2_range, family, fmt):
                             "stiefel_whitney": r.stiefel_whitney.text(),
                             "rigidity": classify.rigidity_class(d),
                         })
-    if fmt == "json":
+    if args.format == "json":
         _emit(rows)
         return
     cols = ["descriptor", "dimension", "cohomology", "pontrjagin",
             "stiefel_whitney", "rigidity"]
-    click.echo("\t".join(cols))
+    print("\t".join(cols))
     for row in rows:
-        click.echo("\t".join(str(row[c]) for c in cols))
+        print("\t".join(str(row[c]) for c in cols))
+
+
+# options that take a value; the token after one is always its value
+_VALUE_OPTIONS = ("--l", "--rho", "--k1", "--k2", "--family", "--format", "--matrix", "--bound")
+
+
+def _parser() -> _Parser:
+    def command(name, run, *positionals):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        for metavar in positionals:
+            sub.add_argument(metavar.lower(), metavar=metavar)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    parser = _Parser(
+        prog="torusclass", add_help=False, allow_abbrev=False,
+        description="Exact invariants and diffeomorphism classification for the two "
+                    "bundle families A(l,rho,k1,k2) and B(l,rho,k1,k2).")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True,
+                                     parser_class=_Parser)
+    command("invariants", invariants_cmd, "DESCRIPTOR")
+    command("compare", compare_cmd, "FIRST", "SECOND")
+    command("rigidity", rigidity_cmd, "DESCRIPTOR")
+    command("dj", dj_cmd).add_argument(
+        "--matrix", metavar="FILE", type=_existing_file, required=True,
+        help='JSON file {"blocks": [...], "rows": [[...], ...]}.')
+    command("oracle-iso", oracle_iso_cmd, "FIRST", "SECOND").add_argument(
+        "--bound", metavar="N", type=_bound, default=None,
+        help="Enumerate coefficients in [-N, N] (1 <= N <= 30) instead of solving exactly.")
+    table = command("table", table_cmd)
+    for name in ("--l", "--rho", "--k1", "--k2"):
+        table.add_argument(name, metavar="RANGE", type=_range, required=True,
+                           help="'a..b' or 'a'.")
+    table.add_argument("--family", choices=["A", "B"], default=None,
+                       help="Restrict to one family (default: both).")
+    table.add_argument("--format", choices=["json", "tsv"], default="json",
+                       help="Output format (default: json).")
+    return parser
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """Write '--rho -1..1' as '--rho=-1..1'.
+
+    argparse reads a separate token that starts with '-' and is not a
+    number as an option, never as a value.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as e:
-        return int(e.exit_code)
-    except click.ClickException as e:
-        e.show()
-        return 1
+        args = _parser().parse_args(_join_values(argv))
+        try:
+            args.run(args)
+        except UsageError as e:
+            args.parser.error(str(e))
+    except SystemExit as e:  # from --help (0) or a usage error (1)
+        return e.code
     except InternalConsistencyError as e:
-        click.echo(f"internal consistency failure: {e}", err=True)
+        print(f"internal consistency failure: {e}", file=sys.stderr)
         return 2
-    except DescriptorError as e:
-        click.echo(f"error: {e}", err=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return 0
 
 
 if __name__ == "__main__":

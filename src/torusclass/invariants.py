@@ -11,7 +11,6 @@ the standard product formulas for these bundles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
@@ -22,35 +21,43 @@ class DescriptorError(ValueError):
     """Raised for a malformed or out-of-range manifold descriptor."""
 
 
-@dataclass(frozen=True)
 class ManifoldDescriptor:
     """Parameter tuple naming a manifold: family A or B, l >= 1, rho, k1 >= 1, k2.
 
     Family A requires k2 >= 1 (the fiber is a projective space of a rank
-    k1+k2 bundle); family B allows k2 >= 0.
+    k1+k2 bundle); family B allows k2 >= 0.  Immutable; equal and hashed
+    as the tuple of its five fields.
     """
 
-    family: str
-    ell: int
-    rho: int
-    k1: int
-    k2: int
+    __slots__ = ("family", "ell", "rho", "k1", "k2", "_hash")
 
-    def __post_init__(self):
-        if self.family not in ("A", "B"):
-            raise DescriptorError(f"family must be 'A' or 'B', got {self.family!r}")
-        if self.ell < 1:
-            raise DescriptorError(f"l must be >= 1, got {self.ell}")
-        if self.k1 < 1:
-            raise DescriptorError(f"k1 must be >= 1, got {self.k1}")
-        k2_min = 1 if self.family == "A" else 0
-        if self.k2 < k2_min:
-            raise DescriptorError(
-                f"family {self.family} requires k2 >= {k2_min}, got {self.k2}")
-        # once: an all-pairs sweep hashes each descriptor per pair for the
-        # class-key caches; ints only, so copies in other processes agree
-        object.__setattr__(self, "_hash", hash(
-            (self.family == "A", self.ell, self.rho, self.k1, self.k2)))
+    def __init__(self, family: str, ell: int, rho: int, k1: int, k2: int):
+        if family not in ("A", "B"):
+            raise DescriptorError(f"family must be 'A' or 'B', got {family!r}")
+        if ell < 1:
+            raise DescriptorError(f"l must be >= 1, got {ell}")
+        if k1 < 1:
+            raise DescriptorError(f"k1 must be >= 1, got {k1}")
+        k2_min = 1 if family == "A" else 0
+        if k2 < k2_min:
+            raise DescriptorError(f"family {family} requires k2 >= {k2_min}, got {k2}")
+        # the hash once: an all-pairs sweep hashes each descriptor per pair
+        # for the class-key caches; ints only, so copies in other processes agree
+        fields = (family, ell, rho, k1, k2, hash((family == "A", ell, rho, k1, k2)))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable descriptor")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable descriptor")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.family, self.ell, self.rho, self.k1, self.k2)
+                == (other.family, other.ell, other.rho, other.k1, other.k2))
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,16 +81,23 @@ class ManifoldDescriptor:
     def __str__(self) -> str:
         return self.render()
 
+    def __repr__(self) -> str:
+        return f"ManifoldDescriptor({self})"
 
-@dataclass
+
 class CharClassReport:
     """Bundle of the invariants of one manifold."""
 
-    descriptor: ManifoldDescriptor
-    dimension: int
-    cohomology: RingPresentation
-    pontrjagin: NormalElement
-    stiefel_whitney: NormalElement
+    __slots__ = ("descriptor", "dimension", "cohomology", "pontrjagin", "stiefel_whitney")
+
+    def __init__(self, descriptor: ManifoldDescriptor, dimension: int,
+                 cohomology: RingPresentation, pontrjagin: NormalElement,
+                 stiefel_whitney: NormalElement):
+        self.descriptor = descriptor
+        self.dimension = dimension
+        self.cohomology = cohomology
+        self.pontrjagin = pontrjagin
+        self.stiefel_whitney = stiefel_whitney
 
     def to_json(self) -> dict:
         return {

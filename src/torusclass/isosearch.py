@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
@@ -40,15 +38,19 @@ from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProdu
                                  monomial_basis, normal_form)
 
 
-@dataclass
 class IsoWitness:
     """Generator images of a graded ring homomorphism source -> target."""
 
-    source: RingPresentation
-    target: RingPresentation
-    images: dict[str, GradedPoly]
-    params: dict = field(default_factory=dict)
-    verified: bool = False
+    __slots__ = ("source", "target", "images", "params", "verified")
+
+    def __init__(self, source: RingPresentation, target: RingPresentation,
+                 images: dict[str, GradedPoly], params: dict | None = None,
+                 verified: bool = False):
+        self.source = source
+        self.target = target
+        self.images = images
+        self.params = {} if params is None else params
+        self.verified = verified
 
     def text(self) -> str:
         return ", ".join(f"{n} -> {img.text()}" for n, img in self.images.items())
@@ -57,12 +59,14 @@ class IsoWitness:
 FOUND, NO_ISO, UNKNOWN = "found", "no", "unknown"
 
 
-@dataclass
 class IsoSearchResult:
     """Outcome of find_iso: found / no (definite) / unknown (bound exhausted)."""
 
-    status: str
-    witness: IsoWitness | None = None
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness: IsoWitness | None = None):
+        self.status = status
+        self.witness = witness
 
     @property
     def found(self) -> bool:
@@ -198,8 +202,8 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
 def _int_roots(u: list[int], factors: dict[int, int] | None = None) -> list[int]:
     """All integer roots of a nonzero integer polynomial.
 
-    `factors`, if given, is the factorization of its lowest nonzero
-    coefficient; it is computed here otherwise.
+    `factors`, if given, factors a number that every nonzero integer root
+    divides; the lowest nonzero coefficient is factored otherwise.
     """
     u = _trim(u[:])
     if not u:
@@ -233,19 +237,22 @@ def _int_roots(u: list[int], factors: dict[int, int] | None = None) -> list[int]
     return sorted(roots)
 
 
-def _rational_roots(u: list[int]) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial.
+def _rational_roots(u: list[int]) -> list[tuple[int, int]]:
+    """All rational roots p/q of a nonzero integer polynomial, as reduced
+    pairs (p, q) with q > 0, in increasing order of the pairs.
 
     Zero roots are taken off first.  For degree n and leading coefficient
     a the others are t/a for the integer roots t of the monic
-    a^(n-1) u(y/a), whose coefficients are u_i a^(n-1-i).  Its constant
-    u_0 a^(n-1) is factored from the factorizations of u_0 and of a, so
-    no number larger than the coefficients of u is factored.
+    a^(n-1) u(y/a), whose coefficients are u_i a^(n-1-i).  A root p/q of
+    u has p | u_0 and q | a, so t = p (a/q) divides u_0 a: the divisors
+    of u_0 a, factored from the factorizations of u_0 and of a, are the
+    only candidates, and no number larger than the coefficients of u is
+    factored.
     """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
-    zeros = [Fraction(0)] if u[0] == 0 else []
+    zeros = [(0, 1)] if u[0] == 0 else []
     while u[0] == 0:
         u.pop(0)
     a, n = u[-1], len(u) - 1
@@ -254,8 +261,12 @@ def _rational_roots(u: list[int]) -> list[Fraction]:
     if n >= 3:  # _int_roots lists divisors only from degree 3 on
         factors = _factorize(u[0])
         for p, e in _factorize(a).items():
-            factors[p] = factors.get(p, 0) + e * (n - 1)
-    return sorted(zeros + [Fraction(t, a) for t in _int_roots(monic, factors)])
+            factors[p] = factors.get(p, 0) + e
+    roots = []
+    for t in _int_roots(monic, factors):
+        g = math.gcd(t, a) if a > 0 else -math.gcd(t, a)
+        roots.append((t // g, a // g))
+    return sorted(zeros + roots)
 
 
 # --------------------------------------------------------------------------
@@ -482,8 +493,7 @@ def _nilpotent_directions(P1: RingPresentation, core: TruncatedProducts) -> list
         if len(g) == 1:
             break
     if len(g) > 1:
-        for root in _rational_roots(g):
-            dirs.add((root.numerator, root.denominator))
+        dirs.update(_rational_roots(g))
     return sorted(dirs)
 
 

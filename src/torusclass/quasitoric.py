@@ -10,8 +10,6 @@ invariants independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor
 from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
@@ -20,17 +18,37 @@ from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
 _BLOCK_LETTERS = "vwusrq"
 
 
-@dataclass(frozen=True)
 class SimplexBlocks:
-    """The orbit polytope Delta^(n1) x ... x Delta^(ns), given by (n1,...,ns)."""
+    """The orbit polytope Delta^(n1) x ... x Delta^(ns), given by (n1,...,ns).
 
-    sizes: tuple[int, ...]
+    Immutable; equal and hashed as its tuple of sizes.
+    """
 
-    def __post_init__(self):
-        if not self.sizes or any(n < 1 for n in self.sizes):
-            raise ValueError(f"block sizes must be positive, got {self.sizes}")
-        if len(self.sizes) > len(_BLOCK_LETTERS):
+    __slots__ = ("sizes",)
+
+    def __init__(self, sizes: tuple[int, ...]):
+        if not sizes or any(n < 1 for n in sizes):
+            raise ValueError(f"block sizes must be positive, got {sizes}")
+        if len(sizes) > len(_BLOCK_LETTERS):
             raise ValueError("too many simplex factors")
+        object.__setattr__(self, "sizes", sizes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable SimplexBlocks")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable SimplexBlocks")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self) -> int:
+        return hash((self.sizes,))
+
+    def __repr__(self) -> str:
+        return f"SimplexBlocks(sizes={self.sizes!r})"
 
     @property
     def dim(self) -> int:
@@ -54,20 +72,24 @@ class SimplexBlocks:
         return [nm for names in blocks for nm in names[:-1]] + [names[-1] for names in blocks]
 
 
-@dataclass
 class CharMatrix:
     """Integer matrix with one column per facet and one row per torus factor."""
 
-    rows: tuple[tuple[int, ...], ...]
-    blocks: SimplexBlocks
+    __slots__ = ("rows", "blocks")
 
-    def __post_init__(self):
-        self.rows = tuple(tuple(int(v) for v in row) for row in self.rows)
-        n, m = self.blocks.dim, self.blocks.facet_count
+    def __init__(self, rows: tuple[tuple[int, ...], ...], blocks: SimplexBlocks):
+        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self.blocks = blocks
+        n, m = blocks.dim, blocks.facet_count
         if len(self.rows) != n:
             raise ValueError(f"expected {n} rows, got {len(self.rows)}")
         if any(len(row) != m for row in self.rows):
             raise ValueError(f"every row must have {m} entries")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.blocks) == (other.rows, other.blocks)
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks.sizes), "rows": [list(r) for r in self.rows]}
@@ -77,13 +99,15 @@ class CharMatrix:
         return cls(tuple(tuple(r) for r in data["rows"]), SimplexBlocks(tuple(data["blocks"])))
 
 
-@dataclass
 class FaceRingPresentation:
     """Face ring data: degree-2 facet generators and one square-free monomial
     relation per block (the product of that block's facets)."""
 
-    generators: tuple[tuple[str, int], ...]
-    blocks: list[list[str]]
+    __slots__ = ("generators", "blocks")
+
+    def __init__(self, generators: tuple[tuple[str, int], ...], blocks: list[list[str]]):
+        self.generators = generators
+        self.blocks = blocks
 
     @property
     def gens(self):

@@ -12,7 +12,6 @@ as it multiplies, so no intermediate result grows past the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from torusclass.intpoly import Domain, GradedPoly
@@ -116,12 +115,14 @@ def presentation_mod2(P: RingPresentation) -> RingPresentation:
                             P.relation.reduce_mod2(), Domain.MOD2)
 
 
-@dataclass
 class NormalElement:
     """A coset representative on the normal basis of its presentation."""
 
-    presentation: RingPresentation
-    poly: GradedPoly
+    __slots__ = ("presentation", "poly")
+
+    def __init__(self, presentation: RingPresentation, poly: GradedPoly):
+        self.presentation = presentation
+        self.poly = poly
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()

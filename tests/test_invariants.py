@@ -36,6 +36,20 @@ def test_parse_and_render():
         ManifoldDescriptor.parse("A(1,0,1)")
 
 
+def test_descriptor_is_an_immutable_value():
+    d = A(2, -1, 1, 2)
+    assert d == A(2, -1, 1, 2) and d != B(2, -1, 1, 2) and d != ("A", 2, -1, 1, 2)
+    assert hash(d) == hash(A(2, -1, 1, 2)) == hash((True, 2, -1, 1, 2))
+    assert len({d, A(2, -1, 1, 2), A(2, 1, 1, 2)}) == 2
+    assert str(d) == "A(2,-1,1,2)"
+    for name in ("rho", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert (d.family, d.ell, d.rho, d.k1, d.k2) == ("A", 2, -1, 1, 2)
+
+
 def test_parse_render_round_trip_grid():
     for d in grid_descriptors(3, 3, 2):
         assert ManifoldDescriptor.parse(d.render()) == d

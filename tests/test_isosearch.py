@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_descriptors
+from torusclass import isosearch
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
@@ -426,9 +427,11 @@ def test_rational_roots_of_a_product(roots, cofactor):
         u = _umul(u, [-p, q])
     got = _rational_roots(u)
     assert got == sorted(set(got))
-    assert {Fraction(p, q) for p, q in roots} <= set(got)
-    assert all(sum(c * r ** i for i, c in enumerate(u)) == 0 for r in got)
-    assert _int_roots(u) == [r for r in got if r.denominator == 1]
+    assert all(q > 0 and math.gcd(p, q) == 1 for p, q in got)
+    values = [Fraction(p, q) for p, q in got]
+    assert {Fraction(p, q) for p, q in roots} <= set(values)
+    assert all(sum(c * r ** i for i, c in enumerate(u)) == 0 for r in values)
+    assert _int_roots(u) == [p for p, q in got if q == 1]
 
 
 def test_rational_roots_factor_no_large_constant(monkeypatch):
@@ -437,8 +440,24 @@ def test_rational_roots_factor_no_large_constant(monkeypatch):
     monkeypatch.setitem(sys.modules, "sympy", None)
     assert _rational_roots([1, 0, 0, 100003]) == []
     # (100003 y + 1)(y^2 + 1), and the same times y^2
-    assert _rational_roots([1, 100003, 1, 100003]) == [Fraction(-1, 100003)]
-    assert _rational_roots([0, 0, 1, 100003, 1, 100003]) == [Fraction(-1, 100003), 0]
+    assert _rational_roots([1, 100003, 1, 100003]) == [(-1, 100003)]
+    assert _rational_roots([0, 0, 1, 100003, 1, 100003]) == [(-1, 100003), (0, 1)]
+
+
+def test_rational_roots_try_the_divisors_of_u0_times_a(monkeypatch):
+    # (7 y + 17)(11 y + 12)(5 y - 2) times a sextic with no rational root:
+    # u_0 a = 11424 * 4620 has 576 divisors, each tried with both signs,
+    # where the divisors of u_0 a^8 (356,400 of them) were tried before
+    u = [-11424, 19912, 37404, -16108, -57088, -22510, 29544, 37364, 21342, 4620]
+    tried = []
+
+    def counted(v, t):
+        tried.append(t)
+        return _ueval(v, t)
+
+    monkeypatch.setattr(isosearch, "_ueval", counted)
+    assert _rational_roots(u) == [(-17, 7), (-12, 11), (2, 5)]
+    assert len(tried) <= 2 * 576
 
 
 def test_nilpotent_directions_are_exactly_the_nilpotent_ones():

@@ -17,6 +17,20 @@ def cp1_matrix():
     return CharMatrix(((1, 1),), SimplexBlocks((1,)))
 
 
+def test_simplex_blocks_is_an_immutable_value():
+    blocks = SimplexBlocks((2, 1))
+    assert blocks == SimplexBlocks((2, 1)) and blocks != SimplexBlocks((1, 2))
+    assert hash(blocks) == hash(SimplexBlocks((2, 1)))
+    assert str(blocks) == "SimplexBlocks(sizes=(2, 1))"
+    with pytest.raises(AttributeError):
+        blocks.sizes = (1,)
+    with pytest.raises(AttributeError):
+        del blocks.sizes
+    for sizes in ((), (0, 1), (1,) * 7):
+        with pytest.raises(ValueError):
+            SimplexBlocks(sizes)
+
+
 # --- face_ring ----------------------------------------------------------------
 
 def test_face_ring_projective_line():
