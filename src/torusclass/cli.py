@@ -208,7 +208,7 @@ def _parser() -> _Parser:
     return parser
 
 
-def _join_values(argv: list[str]) -> list[str]:
+def _join_values(argv) -> list[str]:
     """Write '--rho -1..1' as '--rho=-1..1'.
 
     argparse reads a separate token that starts with '-' and is not a
@@ -223,9 +223,8 @@ def _join_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_join_values(argv))
+        args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         try:
             args.run(args)
         except UsageError as e:

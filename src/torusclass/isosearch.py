@@ -44,13 +44,12 @@ class IsoWitness:
     __slots__ = ("source", "target", "images", "params", "verified")
 
     def __init__(self, source: RingPresentation, target: RingPresentation,
-                 images: dict[str, GradedPoly], params: dict | None = None,
-                 verified: bool = False):
+                 images: dict[str, GradedPoly], params: dict | None = None):
         self.source = source
         self.target = target
         self.images = images
         self.params = {} if params is None else params
-        self.verified = verified
+        self.verified = False
 
     def text(self) -> str:
         return ", ".join(f"{n} -> {img.text()}" for n, img in self.images.items())

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -23,3 +28,11 @@ def grid_descriptors(l_max, sum_max, rho_max, families="AB"):
                     for k2 in range(k2_min, sum_max - k1 + 1):
                         out.append(ManifoldDescriptor(fam, ell, rho, k1, k2))
     return out
+
+
+def fresh_python(*args, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter that imports torusclass from this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)

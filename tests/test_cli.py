@@ -1,14 +1,12 @@
 import json
-import os
 import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 
 import torusclass.classify as classify
+from conftest import fresh_python
 from torusclass.cli import main
 from torusclass.isosearch import NO_ISO, IsoSearchResult
 
@@ -253,17 +251,9 @@ def test_help_exits_zero(capsys):
     assert all(text in out for text in ONE_LINE_HELP.values())
 
 
-def _python(*args, **kwargs) -> subprocess.Popen:
-    """A fresh interpreter that imports torusclass from this checkout."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
-
-
 def test_closed_stdout_exits_one_quietly():
     # over 64 KiB of rows, more than a pipe holds, into a pipe closed unread
-    proc = _python("-m", "torusclass.cli", "table", "--l", "1..2", "--rho", "-9..9",
+    proc = fresh_python("-m", "torusclass.cli", "table", "--l", "1..2", "--rho", "-9..9",
                    "--k1", "1..2", "--k2", "0..2",
                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
@@ -276,7 +266,7 @@ def test_runs_without_click():
     # click cannot be imported in this interpreter, not even before the CLI
     code = ("import sys; sys.modules['click'] = None; from torusclass.cli import main; "
             "sys.exit(main(['compare', 'B(3,2,1,3)', 'B(3,1,4,0)']))")
-    proc = _python("-c", code, stdout=subprocess.PIPE)
+    proc = fresh_python("-c", code, stdout=subprocess.PIPE)
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out)["verdict"]["outcome"] == "diffeomorphic"

@@ -1,12 +1,12 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "torusclass").glob("*.py"))
 
@@ -43,14 +43,12 @@ def test_cli_import_loads_no_heavy_module():
     # a fresh interpreter pays for every module the CLI imports; these
     # pull in inspect, ast, dis, decimal or datetime and are not needed
     heavy = ("click", "inspect", "dataclasses", "fractions", "decimal")
-    modules = ("torusclass." + path.stem for path in SOURCES if path.stem != "__init__")
+    modules = tuple("torusclass." + path.stem for path in SOURCES if path.stem != "__init__")
     code = ("import sys, torusclass.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules]); "
-            f"print([m for m in {tuple(modules)!r} if m not in sys.modules])")
-    src = str(SOURCES[0].parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    proc = fresh_python("-c", code, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
     # nothing heavy, and no module of the package left to a lazy import
-    assert run.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert out.split("\n")[:2] == ["[]", "[]"]
