@@ -45,7 +45,7 @@ class SimplexBlocks:
         return self.sizes == other.sizes
 
     def __hash__(self) -> int:
-        return hash(self.sizes)
+        return hash((self.sizes,))
 
     def __repr__(self) -> str:
         return f"SimplexBlocks(sizes={self.sizes!r})"
