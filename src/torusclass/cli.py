@@ -223,6 +223,10 @@ def _join_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # coefficients grow past the default 4,300-digit limit of int -> str
+    # (C(l+1, i) for l in the thousands, rho^k1 for a large twist)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         try:

@@ -6,6 +6,15 @@ Family A is the projectivization of a sum of line bundles over CP^l
 of k1 copies of a twisted line bundle plus a trivial R^(2*k2+1) summand.
 Cohomology rings and total Pontrjagin / Stiefel-Whitney classes come from
 the standard product formulas for these bundles.
+
+Both come from closed forms, not from expanded products.  The relations
+are written out by the binomial theorem, keeping the terms with
+x-exponent <= l.  Each class factor is a literal term table raised by
+``TruncatedProducts.power``: over F2 as the product of 1 + h^(2^j) over
+the set bits 2^j of the exponent (Lucas), so (1 + x)^(l+1) takes
+O(log l) products; over Z, for a factor 1 + m x^a, as the series
+sum_i C(e, i) m^i x^(a i) written down directly, so (1 + x^2)^(l+1)
+takes none.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from __future__ import annotations
 import re
 
 from torusclass.intpoly import Domain, GradedPoly
-from torusclass.quotient import (NormalElement, RingPresentation, canonicalize,
-                                 presentation_mod2, reduced_product)
+from torusclass.quotient import (NormalElement, RingPresentation, presentation_mod2,
+                                 reduced_product)
 
 
 class DescriptorError(ValueError):
@@ -122,49 +131,56 @@ def cohomology(d: ManifoldDescriptor) -> RingPresentation:
     A(l,rho,k1,k2):        Z[x,y] / <x^(l+1), y^k2 (y + rho x)^k1>, deg y = 2
     B(l,rho,k1,0):         Z[x,z] / <x^(l+1), z(z + (rho x)^k1)>,   deg z = 2 k1
     B(l,rho,k1,k2), k2>0:  Z[x,z] / <x^(l+1), z^2>,                 deg z = 2(k1+k2)
+
+    The relations are written out term by term, keeping only x-exponents
+    <= l, so the presentation is canonical as built:
+    y^k2 (y + rho x)^k1 = sum_i C(k1, i) rho^i x^i y^(k1+k2-i), i <= l, and
+    z(z + (rho x)^k1) = z^2 + rho^k1 x^k1 z, the second term only if k1 <= l.
     """
+    ell, rho, k1 = d.ell, d.rho, d.k1
     if d.family == "A":
-        gens = (("x", 2), ("y", 2))
-        x = GradedPoly.generator(gens, "x")
-        y = GradedPoly.generator(gens, "y")
-        f = (y ** d.k2) * ((y + d.rho * x) ** d.k1)
-        raw = RingPresentation("x", "y", 2, d.ell, f)
-    elif d.k2 == 0:
-        w_degree = 2 * d.k1
-        gens = (("x", 2), ("z", w_degree))
-        x = GradedPoly.generator(gens, "x")
-        z = GradedPoly.generator(gens, "z")
-        f = z * (z + (d.rho * x) ** d.k1)
-        raw = RingPresentation("x", "z", w_degree, d.ell, f)
-    else:
-        w_degree = 2 * (d.k1 + d.k2)
-        gens = (("x", 2), ("z", w_degree))
-        z = GradedPoly.generator(gens, "z")
-        raw = RingPresentation("x", "z", w_degree, d.ell, z * z)
-    return canonicalize(raw)
+        top = k1 + d.k2
+        terms, coef = {}, 1  # coef = C(k1, i) rho^i
+        for i in range(min(k1, ell) + 1):
+            terms[(i, top - i)] = coef
+            coef = coef * (k1 - i) * rho // (i + 1)
+        return RingPresentation("x", "y", 2, ell, GradedPoly((("x", 2), ("y", 2)), terms))
+    w_degree = 2 * (k1 + d.k2)
+    terms = {(0, 2): 1}
+    if d.k2 == 0 and k1 <= ell:
+        terms[(k1, 1)] = rho ** k1
+    return RingPresentation("x", "z", w_degree, ell,
+                            GradedPoly((("x", 2), ("z", w_degree)), terms))
 
 
 def _pontrjagin_factors(d: ManifoldDescriptor, gens) -> list[tuple[GradedPoly, int]]:
-    """The total Pontrjagin class as prod p ** e over the listed (p, e)."""
-    x = GradedPoly.generator(gens, "x")
-    one = GradedPoly.one(gens)
+    """The total Pontrjagin class as prod p ** e over the listed (p, e):
+
+    A: (1 + x^2)^(l+1) (1 + (rho x + y)^2)^k1 (1 + y^2)^k2
+    B: (1 + x^2)^(l+1) (1 + rho^2 x^2)^k1
+    """
+    rho = d.rho
+    base = (GradedPoly(gens, {(0, 0): 1, (2, 0): 1}), d.ell + 1)
     if d.family == "A":
-        y = GradedPoly.generator(gens, "y")
-        return [(one + x * x, d.ell + 1),
-                (one + (d.rho * x + y) ** 2, d.k1),
-                (one + y * y, d.k2)]
-    return [(one + x * x, d.ell + 1), (one + d.rho * d.rho * x * x, d.k1)]
+        return [base,
+                (GradedPoly(gens, {(0, 0): 1, (2, 0): rho * rho, (1, 1): 2 * rho, (0, 2): 1}), d.k1),
+                (GradedPoly(gens, {(0, 0): 1, (0, 2): 1}), d.k2)]
+    return [base, (GradedPoly(gens, {(0, 0): 1, (2, 0): rho * rho}), d.k1)]
 
 
 def _stiefel_whitney_factors(d: ManifoldDescriptor, gens,
                              domain: Domain = Domain.MOD2) -> list[tuple[GradedPoly, int]]:
-    """The total Stiefel-Whitney class as prod p ** e over the listed (p, e)."""
-    x = GradedPoly.generator(gens, "x", domain)
-    one = GradedPoly.one(gens, domain)
+    """The total Stiefel-Whitney class as prod p ** e over the listed (p, e):
+
+    A: (1 + x)^(l+1) (1 + rho x + y)^k1 (1 + y)^k2
+    B: (1 + x)^(l+1) (1 + rho x)^k1
+    """
+    base = (GradedPoly(gens, {(0, 0): 1, (1, 0): 1}, domain), d.ell + 1)
     if d.family == "A":
-        y = GradedPoly.generator(gens, "y", domain)
-        return [(one + x, d.ell + 1), (one + d.rho * x + y, d.k1), (one + y, d.k2)]
-    return [(one + x, d.ell + 1), (one + d.rho * x, d.k1)]
+        return [base,
+                (GradedPoly(gens, {(0, 0): 1, (1, 0): d.rho, (0, 1): 1}, domain), d.k1),
+                (GradedPoly(gens, {(0, 0): 1, (0, 1): 1}, domain), d.k2)]
+    return [base, (GradedPoly(gens, {(0, 0): 1, (1, 0): d.rho}, domain), d.k1)]
 
 
 def pontrjagin(d: ManifoldDescriptor, P: RingPresentation | None = None) -> NormalElement:

@@ -476,7 +476,8 @@ def _nilpotent_directions(P1: RingPresentation, core: TruncatedProducts) -> list
     forms: dict[tuple[int, int], list[int]] = {}
     binom = 1
     for i in range(n + 1):
-        for key, c in gens.nf(i, n - i).terms.items():
+        # x^i times w^(n-i): one product per row over the two cached ladders
+        for key, c in core.mul(gens.nf(i, 0), gens.nf(0, n - i)).terms.items():
             forms.setdefault(key, [0] * (n + 1))[i] += binom * c
         binom = binom * (n - i) // (i + 1)
     univariates = [u for u in map(_trim, forms.values()) if u]

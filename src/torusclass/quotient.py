@@ -224,16 +224,41 @@ class TruncatedProducts:
         return GradedPoly._trusted(self.one.gens, self._mul(p.terms, q.terms), self.P.domain)
 
     def power(self, p: GradedPoly, e: int) -> GradedPoly:
-        """Normal form of p ** e, as the binomial series
-        sum_i C(e, i) c^(e-i) h^i with c the constant term of p and h = p - c.
+        """Normal form of p ** e for a normal form p = c + h, where c is the
+        constant term of p and h = p - c is nilpotent.
 
-        h is nilpotent, so the series stops at the first h^i that vanishes;
-        for h = x^2 each step multiplies single monomials.
+        Over F2, by Lucas/Frobenius, (c + h)^e is the product over the set
+        bits 2^j of e of (c + h^(2^j)), each h^(2^(j+1)) being the square
+        of h^(2^j): at most 2 e.bit_length() products.  Over Z, when h is
+        one pure-x monomial m x^a, it is sum_i C(e, i) c^(e-i) m^i x^(a i)
+        over a i <= l, with no product at all.  Otherwise it is the
+        binomial series sum_i C(e, i) c^(e-i) h^i, which stops at the first
+        h^i that vanishes.
         """
         if e < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
         c = p.constant_term
         h = {k: v for k, v in p.terms.items() if k != (0, 0)}
+        if self.P.domain is Domain.MOD2:  # c is 0 or 1
+            out, h_j = {(0, 0): 1}, h  # h_j = h^(2^j)
+            while e:
+                if not h_j:  # every remaining factor is c
+                    return self.one._clean(out if c else {})
+                if e & 1:
+                    out = self._mul(out, {(0, 0): 1, **h_j} if c else h_j)
+                e >>= 1
+                if e:
+                    h_j = self._mul(h_j, h_j)
+            return self.one._clean(out)
+        if len(h) == 1:
+            [((a, b), m)] = h.items()
+            if b == 0:
+                out, binom, m_i = {}, 1, 1
+                for i in range(min(e, self.ell // a) + 1):
+                    out[(a * i, 0)] = binom * c ** (e - i) * m_i
+                    binom = binom * (e - i) // (i + 1)
+                    m_i *= m
+                return self.one._clean(out)
         out: dict[tuple[int, int], int] = {}
         h_i, binom = {(0, 0): 1}, 1
         for i in range(e + 1):

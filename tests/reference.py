@@ -3,18 +3,18 @@
 Each recomputes, by the slow and obvious route, something the library
 computes another way: equality of cosets by two normal forms, the
 additive rank by its closed form, a graded component by filtering terms,
-the face-ring block monomials by repeated products, and the total
-characteristic classes by expanding their product formulas in the free
-ring.
+the face-ring block monomials by repeated products, the descriptor
+relations and characteristic-class factors by ``+ * **`` in the free ring,
+and the total characteristic classes by expanding their product formulas
+there.
 """
 
 import math
 
 from torusclass.intpoly import Domain, GradedPoly
-from torusclass.invariants import (ManifoldDescriptor, _pontrjagin_factors,
-                                   _stiefel_whitney_factors)
+from torusclass.invariants import ManifoldDescriptor
 from torusclass.quasitoric import FaceRingPresentation
-from torusclass.quotient import RingPresentation, normal_form
+from torusclass.quotient import RingPresentation, canonicalize, normal_form
 
 
 def ring_equal(p: GradedPoly, q: GradedPoly, P: RingPresentation) -> bool:
@@ -45,9 +45,49 @@ def block_monomials(fr: FaceRingPresentation) -> list[GradedPoly]:
     return out
 
 
+def cohomology_expanded(d: ManifoldDescriptor) -> RingPresentation:
+    """The cohomology presentation of d: its relation expanded by ``**`` in
+    the free ring, then canonicalized."""
+    if d.family == "A":
+        gens = (("x", 2), ("y", 2))
+        x = GradedPoly.generator(gens, "x")
+        y = GradedPoly.generator(gens, "y")
+        f = (y ** d.k2) * ((y + d.rho * x) ** d.k1)
+        return canonicalize(RingPresentation("x", "y", 2, d.ell, f))
+    w_degree = 2 * (d.k1 + d.k2)
+    gens = (("x", 2), ("z", w_degree))
+    x = GradedPoly.generator(gens, "x")
+    z = GradedPoly.generator(gens, "z")
+    f = z * (z + (d.rho * x) ** d.k1) if d.k2 == 0 else z * z
+    return canonicalize(RingPresentation("x", "z", w_degree, d.ell, f))
+
+
+def pontrjagin_factors(d: ManifoldDescriptor, gens) -> list[tuple[GradedPoly, int]]:
+    """The factors (p, e) of the total Pontrjagin class, built with + * **."""
+    x = GradedPoly.generator(gens, "x")
+    one = GradedPoly.one(gens)
+    if d.family == "A":
+        y = GradedPoly.generator(gens, "y")
+        return [(one + x * x, d.ell + 1),
+                (one + (d.rho * x + y) ** 2, d.k1),
+                (one + y * y, d.k2)]
+    return [(one + x * x, d.ell + 1), (one + d.rho * d.rho * x * x, d.k1)]
+
+
+def stiefel_whitney_factors(d: ManifoldDescriptor, gens,
+                            domain: Domain = Domain.MOD2) -> list[tuple[GradedPoly, int]]:
+    """The factors (p, e) of the total Stiefel-Whitney class, built with + *."""
+    x = GradedPoly.generator(gens, "x", domain)
+    one = GradedPoly.one(gens, domain)
+    if d.family == "A":
+        y = GradedPoly.generator(gens, "y", domain)
+        return [(one + x, d.ell + 1), (one + d.rho * x + y, d.k1), (one + y, d.k2)]
+    return [(one + x, d.ell + 1), (one + d.rho * x, d.k1)]
+
+
 def pontrjagin_product(d: ManifoldDescriptor, gens) -> GradedPoly:
     """Product formula for the total Pontrjagin class, expanded in the free ring."""
-    return math.prod(p ** e for p, e in _pontrjagin_factors(d, gens))
+    return math.prod(p ** e for p, e in pontrjagin_factors(d, gens))
 
 
 def stiefel_whitney_product(d: ManifoldDescriptor, gens,
@@ -58,4 +98,4 @@ def stiefel_whitney_product(d: ManifoldDescriptor, gens,
     Computed over the requested domain so tests can cross-check the native
     mod-2 product against the reduced integer expansion.
     """
-    return math.prod(p ** e for p, e in _stiefel_whitney_factors(d, gens, domain))
+    return math.prod(p ** e for p, e in stiefel_whitney_factors(d, gens, domain))

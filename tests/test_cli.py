@@ -271,6 +271,15 @@ def test_runs_without_click():
     assert proc.returncode == 0
     assert json.loads(out)["verdict"]["outcome"] == "diffeomorphic"
 
+def test_prints_integers_past_the_default_digit_limit():
+    # the relation coefficient rho^50 = 10^5000 has 5,001 digits, more than
+    # int -> str converts by default
+    proc = fresh_python("-m", "torusclass.cli", "invariants", f"B(60,1{'0' * 100},50,0)",
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()
+    assert json.loads(out)["cohomology"]["relation"] == f"z^2 + 1{'0' * 5000}*x^50*z"
+
 # --- the exit-code contract -----------------------------------------------------------------
 
 # every table invocation below names all four ranges unless the case is about one

@@ -3,10 +3,12 @@ import time
 import pytest
 
 from conftest import grid_descriptors
-from reference import pontrjagin_product, stiefel_whitney_product
+from reference import (cohomology_expanded, pontrjagin_factors, pontrjagin_product,
+                       stiefel_whitney_factors, stiefel_whitney_product)
 from torusclass.intpoly import Domain
 from torusclass.invariants import (CharClassReport, DescriptorError,
-                                   ManifoldDescriptor, cohomology, dimension,
+                                   ManifoldDescriptor, _pontrjagin_factors,
+                                   _stiefel_whitney_factors, cohomology, dimension,
                                    pontrjagin, report, stiefel_whitney)
 from torusclass.quotient import evaluate_hom, normal_form, presentation_mod2
 
@@ -166,10 +168,26 @@ def test_mod2_consistency_on_grid():
         assert stiefel_whitney(d) == normal_form(via_int, P2)
 
 
+LARGE = [ManifoldDescriptor.parse(t) for t in ("A(60,3,2,2)", "A(3,4,8,8)", "B(40,3,2,0)")]
+# rho = 0, negative rho, and family B with k1 > l, outside GRID's ranges too
+EDGES = [A(5, 0, 3, 2), B(6, 0, 2, 0), A(4, -5, 6, 1), B(7, -2, 3, 0), B(2, -7, 5, 0),
+         B(3, 6, 9, 0), B(1, 3, 4, 2)]
+
+
+def test_closed_forms_match_expansion():
+    # the literal relations and factor tables against + * ** in the free ring
+    for d in GRID + LARGE + EDGES:
+        P = cohomology(d)
+        assert P == cohomology_expanded(d), d
+        assert _pontrjagin_factors(d, P.gens) == pontrjagin_factors(d, P.gens), d
+        for domain in Domain:
+            assert (_stiefel_whitney_factors(d, P.gens, domain)
+                    == stiefel_whitney_factors(d, P.gens, domain)), (d, domain)
+
+
 def test_classes_match_full_expansion():
     # the truncating product core against normal_form of the free-ring expansion
-    large = [ManifoldDescriptor.parse(t) for t in ("A(60,3,2,2)", "A(3,4,8,8)", "B(40,3,2,0)")]
-    for d in GRID + large:
+    for d in GRID + LARGE + EDGES:
         P = cohomology(d)
         P2 = presentation_mod2(P)
         assert pontrjagin(d) == normal_form(pontrjagin_product(d, P.gens), P), d

@@ -484,3 +484,19 @@ def test_nilpotent_directions_are_exactly_the_nilpotent_ones():
             listed = (p, q) in dirs or (-p, -q) in dirs
             assert nilpotent(p, q) == listed, (P1, P2, p, q)
     assert pairs >= 200
+
+
+def test_nilpotent_directions_take_linearly_many_products():
+    # x^i w^(n-i) as one product of two cached ladders, not a row of its own
+    ell = 200
+    core = TruncatedProducts(ring(A(ell, -3, 2, 2)))
+    calls = []
+    mul = core.mul
+
+    def counted(p, q):
+        calls.append(1)
+        return mul(p, q)
+
+    core.mul = counted
+    assert _nilpotent_directions(ring(A(ell, 3, 2, 2)), core) == [(1, 0)]
+    assert len(calls) <= 3 * (ell + 2)

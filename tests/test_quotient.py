@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -252,3 +254,79 @@ def test_mod2_presentation():
     P2 = presentation_mod2(P)
     assert P2.domain is Domain.MOD2
     assert P2.relation == GradedPoly(P.gens, {(0, 2): 1}, Domain.MOD2)
+
+
+# --- the closed forms of TruncatedProducts.power --------------------------------------
+
+def counted_products(core):
+    """Count the calls of core's product from here on."""
+    calls = []
+    mul = core._mul
+
+    def counted(f, g):
+        calls.append((f, g))
+        return mul(f, g)
+
+    core._mul = counted
+    return calls
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_mod2_power_by_set_bits(c):
+    # y(y + x)^2 = y^3 + x^2 y mod 2, and a nilpotent h of three terms
+    P = presentation_mod2(bott_pres(6, 1, 2, 1))
+    core = TruncatedProducts(P)
+    p = P.poly({(0, 0): c, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    for e in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17):
+        assert core.power(p, e) == normal_form(p ** e, P).poly, e
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_mod2_power_when_h_vanishes_before_the_top_bit(c):
+    # in F2[x,y]/<x^4, y^2 + x y>: x^4 = 0, and (x + y)^8 = x^6 y^2 = 0
+    P = presentation_mod2(bott_pres(3, 1, 1, 1))
+    core = TruncatedProducts(P)
+    for h in ({(1, 0): 1}, {(1, 0): 1, (0, 1): 1}):
+        p = P.poly({(0, 0): c, **h})
+        for e in (4, 5, 8, 9, 16, 17, 25):
+            got = core.power(p, e)
+            assert got == normal_form(p ** e, P).poly, (h, e)
+            if e >= 8:
+                assert got.is_zero() == (c == 0), (h, e)
+
+
+def test_mod2_power_of_one_plus_x_is_lucas():
+    # C(e, k) is odd iff the bits of k are bits of e
+    ell = 1000
+    P = presentation_mod2(bott_pres(ell, 3, 2, 2))
+    core = TruncatedProducts(P)
+    p = P.poly({(0, 0): 1, (1, 0): 1})
+    for e in (0, 1, 2, 3, 255, 256, 257, 1001, 1023, 4097):
+        calls = counted_products(core)
+        got = core.power(p, e)
+        assert len(calls) <= 2 * e.bit_length(), e
+        assert got.terms == {(k, 0): 1 for k in range(min(e, ell) + 1) if k & e == k}, e
+
+
+def test_integer_power_of_one_pure_x_monomial():
+    P = bott_pres(6, 2, 1, 1)
+    core = TruncatedProducts(P)
+    cases = [({(2, 0): 3}, (0, 1, 3, 4)),                  # c = 0
+             ({(0, 0): 2, (1, 0): -5}, (0, 1, 5, 9)),       # m < 0
+             ({(0, 0): -1, (3, 0): 7}, (1, 2, 3)),
+             ({(0, 0): 3, (7, 0): 4}, (0, 5))]              # a > l
+    for terms, exponents in cases:
+        p = P.poly(terms)
+        for e in exponents:
+            assert core.power(p, e) == normal_form(p ** e, P).poly, (terms, e)
+
+
+def test_pure_x_series_takes_no_product():
+    ell = 60
+    P = bott_pres(ell, 3, 2, 2)
+    core = TruncatedProducts(P)
+    calls = counted_products(core)
+    got = core.power(P.poly({(0, 0): 1, (2, 0): 1}), ell + 1)
+    assert got.terms == {(2 * i, 0): math.comb(ell + 1, i) for i in range(ell // 2 + 1)}
+    core.power(P.poly({(0, 0): 1, (1, 0): -9}), 1000)
+    assert calls == []
