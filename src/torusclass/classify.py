@@ -24,15 +24,15 @@ sweep asks for each key once per pair.
 Every ring-equivalence verdict produced here is cross-validated against
 the independent isosearch oracle in the acceptance suite.
 
-compare_report takes each side's ring and classes from _pair_report, an
-lru_cache of invariants.report bounded at 512 descriptors: a pass over
-the 448 descriptors of a grid pairs each one with about a dozen others,
-and a cached report holds about 3 KB.  invariants.report itself is left
-uncached, since table visits every descriptor once and a cache there
-would only hold memory.  The w-preserving search is skipped when the
-witness of the p-preserving one already carries w to w' (check_preserves
-is exact, and the exact search finds a w-preserving isomorphism whenever
-one exists), so both booleans are those of two separate searches.
+compare_report takes each side's ring, classes and SearchRing (graded
+ranks and monomial basis) from _pair_report, an lru_cache bounded at 512
+descriptors: a pass over the 448 descriptors of a grid pairs each one
+with about a dozen others, and a cached entry holds about 4 KB.
+invariants.report itself is left uncached, since table visits every
+descriptor once and a cache there would only hold memory.  p and w are
+decided by one exact search, find_iso_per_class, whose line systems and
+verified witnesses serve both classes; each boolean is still the
+existence answer of the exact solver for its class alone.
 
 Note on the l = 1 projective-bundle case: the twist identity below
 implies equivalence classes mod k1 + k2 (e.g. the degree-2 sphere bundles
@@ -46,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
-from torusclass.isosearch import check_preserves, find_iso
+from torusclass.isosearch import SearchRing, find_iso_per_class
 
 
 class InternalConsistencyError(RuntimeError):
@@ -293,9 +293,10 @@ class CompareReport:
 
 @lru_cache(maxsize=512)
 def _pair_report(d: ManifoldDescriptor):
-    """report(d), kept for the pairwise path, where a descriptor recurs in
-    many pairs."""
-    return report(d)
+    """report(d) and the SearchRing of its ring, kept for the pairwise
+    path, where a descriptor recurs in many pairs."""
+    r = report(d)
+    return r, SearchRing(r.cohomology)  # canonical as built
 
 
 def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareReport:
@@ -304,13 +305,10 @@ def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareRepo
     ring_iso = cohomology_isomorphic(d, dp)
     verdict = diffeomorphic(d, dp)
     if ring_iso:
-        r1, r2 = _pair_report(d), _pair_report(dp)
-        w_pair = (r1.stiefel_whitney, r2.stiefel_whitney)
-        p_search = find_iso(r1.cohomology, r2.cohomology,
-                            [(r1.pontrjagin, r2.pontrjagin)])
-        p_pres = p_search.found
-        w_pres = ((p_pres and check_preserves(p_search.witness, *w_pair))
-                  or find_iso(r1.cohomology, r2.cohomology, [w_pair]).found)
+        (r1, s1), (r2, s2) = _pair_report(d), _pair_report(dp)
+        p_res, w_res = find_iso_per_class(s1, s2, [(r1.pontrjagin, r2.pontrjagin),
+                                                   (r1.stiefel_whitney, r2.stiefel_whitney)])
+        p_pres, w_pres = p_res.found, w_res.found
     else:
         p_pres = w_pres = False
     if verdict.diffeomorphic and not (ring_iso and p_pres and w_pres):

@@ -16,7 +16,9 @@ The mode is selected by ``bound``:
   integer class become integer polynomials in t alone, whose integer
   roots are found exactly; preserved mod-2 classes keep the roots at
   which their polynomials are even.  Exhaustion here is a definite
-  "no isomorphism".
+  "no isomorphism".  find_iso, iter_isos and find_iso_per_class (one
+  answer per class) run on one line enumerator, whose relation roots and
+  verified witnesses per line serve every class asked about.
 * an integer ``bound >= 1`` (enum) - literal brute force over images with
   coefficients in [-bound, bound]; exhaustion without a witness is
   *indeterminate*.
@@ -31,17 +33,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form)
+                                 monomial_basis, normal_form, presentation_mod2)
 
 
 class IsoWitness:
     """Generator images of a graded ring homomorphism source -> target."""
 
-    __slots__ = ("source", "target", "images", "params", "verified")
+    __slots__ = ("source", "target", "images", "params", "verified", "table")
 
     def __init__(self, source: RingPresentation, target: RingPresentation,
                  images: dict[str, GradedPoly], params: dict | None = None):
@@ -50,6 +53,7 @@ class IsoWitness:
         self.images = images
         self.params = {} if params is None else params
         self.verified = False
+        self.table = None  # verify_iso's _Monomials of the images, see check_preserves
 
     def text(self) -> str:
         return ", ".join(f"{n} -> {img.text()}" for n, img in self.images.items())
@@ -336,50 +340,69 @@ def _line_conditions(g: GradedPoly, target: dict, line) -> list:
     return list(image.values())
 
 
-def _line_solutions(P1, preserve, mono: _Monomials, s: int, e: int,
-                    sx: int, sw: int) -> list[int]:
-    """Integer t for which x -> sx X, w -> sw W0 + t s (sx X)^e kills the
-    relation of P1 and carries each preserved class to its partner.
-
-    Mod-2 classes are lifted to integers and only filter: their conditions
-    must vanish mod 2.  When the integer conditions are vacuous, the parity
-    representatives 0 and 1 stand for the whole line.
-    """
-    line = (mono, s, e, sx, sw)
-    sys_int = _line_conditions(P1.relation, {}, line)
-    sys_mod2 = []
-    for c1, c2 in preserve:
-        if c1.poly.domain is Domain.MOD2:
-            sys_mod2 += _line_conditions(c1.poly.lift_to_int(), c2.poly.terms, line)
-        else:
-            sys_int += _line_conditions(c1.poly, c2.poly.terms, line)
-
-    def mod2_ok(t):
-        return all(_ueval(u, t) % 2 == 0 for u in sys_mod2)
-
-    nonzero = [u for u in map(_trim, sys_int) if u]
-    if not nonzero:
-        return [t for t in (0, 1) if mod2_ok(t)]
-    g = nonzero[0]
-    for u in nonzero[1:]:
+def _common_roots(polys: list[list[int]]) -> list[int]:
+    """The integer roots shared by nonzero coefficient lists."""
+    g = polys[0]
+    for u in polys[1:]:
         g = _poly_gcd(g, u)
         if len(g) == 1:
             return []
-    good = [t for t in _int_roots(g)
-            if all(_ueval(u, t) == 0 for u in nonzero) and mod2_ok(t)]
-    return sorted(good, key=lambda t: (abs(t), t))
+    return [t for t in _int_roots(g) if all(_ueval(u, t) == 0 for u in polys)]
+
+
+def _line_solver(P1, line):
+    """solve(classes): the integer t, in the order (|t|, t), at which the
+    map along `line` (as for ``_line_conditions``) kills the relation of P1,
+    whose conditions and roots are computed once, and carries each class
+    (integer polynomial, partner's terms, mod2) to its partner.  Mod-2
+    classes come lifted to integers and only filter: their conditions must
+    vanish mod 2.  When every integer condition is vacuous, the parity
+    representatives 0 and 1 stand for the whole line."""
+    rel = [u for u in map(_trim, _line_conditions(P1.relation, {}, line)) if u]
+    rel_roots = _common_roots(rel) if rel else None
+
+    def solve(classes):
+        ints, mod2 = [], []
+        for g, target, is_mod2 in classes:
+            (mod2 if is_mod2 else ints).extend(_line_conditions(g, target, line))
+        ints = [u for u in map(_trim, ints) if u]
+        if rel:
+            ts = [t for t in rel_roots if all(_ueval(u, t) == 0 for u in ints)]
+        else:
+            ts = _common_roots(ints) if ints else [0, 1]
+        good = [t for t in ts if all(_ueval(u, t) % 2 == 0 for u in mod2)]
+        return sorted(good, key=lambda t: (abs(t), t))
+
+    return solve
 
 
 # --------------------------------------------------------------------------
 # witness verification
 
 
+class SearchRing:
+    """A presentation with its graded ranks and, from first use, its
+    monomial basis.  compare_report keeps one per descriptor; find_iso
+    builds two per call."""
+
+    def __init__(self, P: RingPresentation):
+        self.P, self.ranks = P, graded_ranks(P)
+
+    @cached_property
+    def basis(self) -> list[tuple[int, int]]:
+        return monomial_basis(self.P)
+
+
 def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
-               P2: RingPresentation | None = None) -> bool:
+               P2: RingPresentation | None = None, *, rings=None) -> bool:
     """Soundness check: relations map to zero and every graded component
-    transforms by an integer matrix of determinant +-1."""
-    P1 = P1 if P1 is not None else witness.source
-    P2 = P2 if P2 is not None else witness.target
+    transforms by an integer matrix of determinant +-1.  `rings` are the
+    SearchRings of P1 and P2.  Accepted on its own source and target, the
+    witness keeps its table of monomial images for check_preserves."""
+    R1, R2 = rings or (SearchRing(P1 if P1 is not None else witness.source),
+                       SearchRing(P2 if P2 is not None else witness.target))
+    P1, P2 = R1.P, R2.P
+    witness.table = None
     images = witness.images
     for name, deg in P1.gens:
         img = images.get(name)
@@ -398,17 +421,16 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
     if not rel_image.is_zero():
         return False
 
-    if graded_ranks(P1) != graded_ranks(P2):
+    if R1.ranks != R2.ranks:
         return False
-    basis2 = monomial_basis(P2)
-    index2 = {e: i for i, e in enumerate(basis2)}
+    index2 = {e: i for i, e in enumerate(R2.basis)}
     cols_by_degree: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(basis2):
+    for i, (a, b) in enumerate(R2.basis):
         cols_by_degree.setdefault(2 * a + P2.w_degree * b, []).append(i)
     by_degree: dict[int, list[list[int]]] = {}
-    for a, b in monomial_basis(P1):
+    for a, b in R1.basis:
         deg = 2 * a + P1.w_degree * b
-        row = [0] * len(basis2)
+        row = [0] * len(index2)
         for e, c in mono.nf(a, b).terms.items():
             row[index2[e]] = c
         by_degree.setdefault(deg, []).append(row)
@@ -420,6 +442,8 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
         if _det(mat) not in (1, -1):
             return False
     witness.verified = True
+    if P1 == witness.source and P2 == witness.target:
+        witness.table = mono
     return True
 
 
@@ -427,22 +451,26 @@ def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement) -
     """True iff the witness carries the class c1 to c2.
 
     Integer classes are pushed through the witness directly; mod-2 classes
-    through its mod-2 reduction.
+    through its mod-2 reduction.  A class of the witness's target (or of
+    its mod-2 reduction) is read from the table verify_iso left, mod-2
+    images by reducing coefficients; any other goes through evaluate_hom.
     """
     if c1.poly.domain is not c2.poly.domain:
         raise ValueError("classes live in different coefficient domains")
-    if c1.poly.domain is Domain.INT:
-        return evaluate_hom(witness.images, c1.poly, c2.presentation) == c2
-    target = c2.presentation
-    images2 = {n: img.reduce_mod2() for n, img in witness.images.items()}
-    lifted = {n: GradedPoly(target.gens, dict(img.terms), Domain.MOD2)
-              for n, img in images2.items()}
-    return evaluate_hom(lifted, c1.poly, target) == c2
-
-
-def _accepted(witness, preserve) -> bool:
-    return verify_iso(witness) and all(check_preserves(witness, c1, c2)
-                                       for c1, c2 in preserve)
+    mod2 = c1.poly.domain is Domain.MOD2
+    table, target = witness.table, witness.target
+    if (table is not None and c1.poly.gens == witness.source.gens
+            and c2.presentation == (presentation_mod2(target) if mod2 else target)):
+        image: dict[tuple[int, int], int] = {}
+        for (a, b), c in c1.poly.terms.items():
+            for key, v in table.nf(a, b).terms.items():
+                image[key] = image.get(key, 0) + c * v
+        return c2.poly._clean(image).terms == c2.poly.terms
+    images = witness.images
+    if mod2:
+        images = {n: GradedPoly(c2.presentation.gens, img.terms, Domain.MOD2)
+                  for n, img in images.items()}
+    return evaluate_hom(images, c1.poly, c2.presentation) == c2
 
 
 def _matrix_witness(P1, P2, alpha, gamma, beta, delta) -> IsoWitness:
@@ -460,24 +488,23 @@ def _shear_witness(P1, P2, eps1, a, eps2) -> IsoWitness:
 
 
 # --------------------------------------------------------------------------
-# the exact solver, by shape
+# the exact solver: one line enumerator
 
 
-def _nilpotent_directions(P1: RingPresentation, core: TruncatedProducts) -> list[tuple[int, int]]:
+def _nilpotent_directions(P1: RingPresentation, ladder: _Monomials) -> list[tuple[int, int]]:
     """Primitive (p, q) with (p x + q w)^(l1+1) = 0 in the target (both
-    generators of degree 2).
+    generators of degree 2), whose identity ladder is given.
 
     The coefficient of p^i q^(n-i) in (p x + q w)^n is C(n, i) x^i w^(n-i),
     so each basis coordinate of the power is a binary form in (p, q).
     """
-    P2 = core.P
+    core = ladder.core
     n = P1.ell + 1
-    gens = _Monomials(core, P2.x(), P2.w())
     forms: dict[tuple[int, int], list[int]] = {}
     binom = 1
     for i in range(n + 1):
         # x^i times w^(n-i): one product per row over the two cached ladders
-        for key, c in core.mul(gens.nf(i, 0), gens.nf(0, n - i)).terms.items():
+        for key, c in core.mul(ladder.nf(i, 0), ladder.nf(0, n - i)).terms.items():
             forms.setdefault(key, [0] * (n + 1))[i] += binom * c
         binom = binom * (n - i) // (i + 1)
     univariates = [u for u in map(_trim, forms.values()) if u]
@@ -497,78 +524,84 @@ def _nilpotent_directions(P1: RingPresentation, core: TruncatedProducts) -> list
     return sorted(dirs)
 
 
-def _iso_candidates_deg2(P1, P2, preserve):
-    """Yield verified witnesses when both generators have degree 2.
+def _lines(R1: SearchRing, R2: SearchRing):
+    """(line, make) per line of the exact solver in its canonical order:
+    `line` the arguments (mono, s, e, sx, sw) of ``_line_image``, make(t)
+    the witness at t.
 
-    x goes to a nilpotent direction X = alpha x + beta w, and w to the line
-    W0 + t X of completions to a matrix of determinant +-1.  With
-    (alpha, beta) = sgn (p, q), _egcd(alpha, beta) = (sgn g, s_a, s_b), so
-    W0 = sgn det W1 for the completion W1 of (p, q) at sgn = det = 1, and
-    the four lines of one direction share the table of X1 = p x + q w, W1.
+    Degree 2: x goes to a nilpotent direction X = alpha x + beta w, w to
+    the line W0 + t X of completions to determinant +-1.  With (alpha,
+    beta) = sgn (p, q), _egcd(alpha, beta) = (sgn g, s_a, s_b), so W0 =
+    sgn det W1 for the completion W1 of (p, q), and the four lines of a
+    direction share the table of p x + q w, W1.  Degree 2d > 2: x goes to
+    eps1 x, w to eps2 w + a x^d, x^d = eps1^d (eps1 x)^d; the four lines
+    share the table of x^i w^j.  Both relations linear in w (truncated
+    polynomial rings in x): the maps x -> +-x, with `line` None.
     """
-    core = TruncatedProducts(P2)
-    for p, q in _nilpotent_directions(P1, core):
-        g, s_a, s_b = _egcd(p, q)
-        if abs(g) != 1:
-            continue
-        s_a, s_b = s_a * g, s_b * g  # now p*s_a + q*s_b == 1
-        mono = _Monomials(core, GradedPoly(P2.gens, {(1, 0): p, (0, 1): q}),
-                          GradedPoly(P2.gens, {(1, 0): -s_b, (0, 1): s_a}))
-        for sgn in (1, -1):
-            alpha, beta = sgn * p, sgn * q
-            for det in (1, -1):
-                gamma0, delta0 = -s_b * sgn * det, s_a * sgn * det
-                for t in _line_solutions(P1, preserve, mono, 1, 1, sgn, sgn * det):
-                    witness = _matrix_witness(P1, P2, alpha, gamma0 + t * alpha,
-                                              beta, delta0 + t * beta)
-                    if _accepted(witness, preserve):
-                        yield witness
-
-
-def _iso_candidates_high(P1, P2, preserve):
-    """Yield verified witnesses for a common second-generator degree 2d > 2.
-
-    x goes to eps1 x, and w to the line eps2 w + a x^d, where
-    x^d = eps1^d (eps1 x)^d; the four lines share the table of x^i w^j.
-    """
-    mono = _Monomials(TruncatedProducts(P2), P2.x(), P2.w())
-    d = P1.w_degree // 2
-    for eps1 in (1, -1):
-        for eps2 in (1, -1):
-            for a in _line_solutions(P1, preserve, mono, eps1 ** d, d, eps1, eps2):
-                witness = _shear_witness(P1, P2, eps1, a, eps2)
-                if _accepted(witness, preserve):
-                    yield witness
-
-
-def _iso_candidates_univariate(P1, P2, preserve):
-    """Both relations have w-exponent 1: the rings are truncated polynomial
-    rings in x, with w congruent to a polynomial in x."""
-    if P1.ell != P2.ell:
+    P1, P2 = R1.P, R2.P
+    if P1.w_exponent == 1 and P2.w_exponent == 1 and P1.ell == P2.ell:
+        w1_rest = P1.relation - GradedPoly.monomial(P1.gens, (0, 1))
+        for eps1 in (1, -1):
+            ximg = GradedPoly(P2.gens, {(1, 0): eps1})
+            # w1 is congruent to -(f1 - w1); push that through x -> eps1 x
+            wimg = evaluate_hom({P1.x_name: ximg, P1.w_name: GradedPoly.zero(P2.gens)},
+                                -w1_rest, P2).poly
+            witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
+                                 params={"eps": eps1})
+            yield None, lambda t, w=witness: w
+    if P1.w_exponent == 1 or P2.w_exponent == 1 or P1.w_degree != P2.w_degree:
         return
-    w1_rest = P1.relation - GradedPoly.monomial(P1.gens, (0, P1.w_exponent))
-    for eps1 in (1, -1):
-        ximg = GradedPoly(P2.gens, {(1, 0): eps1})
-        # w1 is congruent to -(f1 - w1); push that expression through x -> eps1 x
-        wimg = evaluate_hom({P1.x_name: ximg, P1.w_name: GradedPoly.zero(P2.gens)},
-                            -w1_rest, P2).poly
-        witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
-                             params={"eps": eps1})
-        if _accepted(witness, preserve):
-            yield witness
+    core = TruncatedProducts(P2)
+    ladder = _Monomials(core, *(GradedPoly._trusted(core.one.gens, {e: 1}, Domain.INT)
+                               for e in ((1, 0), (0, 1))))  # x^i w^j
+    if P1.w_degree > 2:
+        d = P1.w_degree // 2
+        for eps1, eps2 in itertools.product((1, -1), repeat=2):
+            yield ((ladder, eps1 ** d, d, eps1, eps2),
+                   lambda a, e1=eps1, e2=eps2: _shear_witness(P1, P2, e1, a, e2))
+    else:
+        for p, q in _nilpotent_directions(P1, ladder):
+            g, s_a, s_b = _egcd(p, q)
+            if abs(g) != 1:
+                continue
+            s_a, s_b = s_a * g, s_b * g  # now p*s_a + q*s_b == 1
+            mono = ladder if (p, q) == (1, 0) else _Monomials(
+                core, GradedPoly(P2.gens, {(1, 0): p, (0, 1): q}),
+                GradedPoly(P2.gens, {(1, 0): -s_b, (0, 1): s_a}))
+            for sgn, det in itertools.product((1, -1), repeat=2):
+                a, b, c, d = sgn * p, sgn * q, -s_b * sgn * det, s_a * sgn * det
+                yield ((mono, 1, 1, sgn, sgn * det),
+                       lambda t, a=a, b=b, c=c, d=d: _matrix_witness(P1, P2, a, c + t * a,
+                                                                     b, d + t * b))
 
 
-def _exact_candidates(P1, P2, preserve):
-    """Verified witnesses of the exact solver for canonical P1, P2 with
-    equal graded ranks, in its canonical order."""
-    D1, D2 = P1.w_exponent, P2.w_exponent
-    if D1 == 1 and D2 == 1:
-        return _iso_candidates_univariate(P1, P2, preserve)
-    if D1 == 1 or D2 == 1 or P1.w_degree != P2.w_degree:
-        return iter(())
-    if P1.w_degree == 2:
-        return _iso_candidates_deg2(P1, P2, preserve)
-    return _iso_candidates_high(P1, P2, preserve)
+def _exact_candidates(R1: SearchRing, R2: SearchRing, groups, every: bool = False):
+    """(i, witness) per verified witness of the exact solver, in its
+    canonical order, that carries each class of groups[i] to its partner
+    (canonical rings of equal graded ranks).  A line's relation roots and
+    witnesses serve every group; mod-2 classes are lifted to Z once.  A
+    group is dropped after its first witness unless `every`."""
+    classes = [[(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
+                 c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in group]
+               for group in groups]
+    live = list(range(len(groups)))
+    for line, make in _lines(R1, R2):
+        solve = _line_solver(R1.P, line) if line else lambda _: [0]
+        verified = {}
+        for i in live[:]:
+            for t in solve(classes[i]):
+                if t not in verified:
+                    witness = make(t)
+                    verified[t] = witness if verify_iso(witness, rings=(R1, R2)) else None
+                witness = verified[t]
+                if witness is not None and all(check_preserves(witness, c1, c2)
+                                               for c1, c2 in groups[i]):
+                    yield i, witness
+                    if not every:
+                        live.remove(i)
+                        break
+        if not live:
+            return
 
 
 # --------------------------------------------------------------------------
@@ -582,20 +615,20 @@ def _spiral(bound):
         yield -k
 
 
-def _enum_candidates(P1, P2, preserve, bound):
-    """Verified witnesses with coefficients in [-bound, bound], for P1, P2
+def _enum_candidates(R1, R2, preserve, bound):
+    """Verified witnesses with coefficients in [-bound, bound], for rings
     whose second generators have the same degree."""
+    P1, P2 = R1.P, R2.P
     if P1.w_degree == 2:
-        for alpha, beta, gamma, delta in itertools.product(_spiral(bound), repeat=4):
-            if abs(alpha * delta - beta * gamma) == 1:
-                witness = _matrix_witness(P1, P2, alpha, gamma, beta, delta)
-                if _accepted(witness, preserve):
-                    yield witness
+        witnesses = (_matrix_witness(P1, P2, a, c, b, d) for a, b, c, d
+                     in itertools.product(_spiral(bound), repeat=4) if abs(a * d - b * c) == 1)
     else:
-        for eps1, eps2, a in itertools.product((1, -1), (1, -1), _spiral(bound)):
-            witness = _shear_witness(P1, P2, eps1, a, eps2)
-            if _accepted(witness, preserve):
-                yield witness
+        witnesses = (_shear_witness(P1, P2, eps1, a, eps2) for eps1, eps2, a
+                     in itertools.product((1, -1), (1, -1), _spiral(bound)))
+    for witness in witnesses:
+        if verify_iso(witness, rings=(R1, R2)) and all(check_preserves(witness, c1, c2)
+                                                       for c1, c2 in preserve):
+            yield witness
 
 
 # --------------------------------------------------------------------------
@@ -603,14 +636,12 @@ def _enum_candidates(P1, P2, preserve, bound):
 
 
 def _canonical_pair(P1: RingPresentation, P2: RingPresentation):
-    """Canonical forms of two integer presentations, or None when their
-    graded ranks differ, so that no isomorphism exists."""
+    """SearchRings of the canonical forms of two integer presentations, or
+    None when their graded ranks differ, so that no isomorphism exists."""
     if P1.domain is not Domain.INT or P2.domain is not Domain.INT:
         raise ValueError("isomorphism search runs over integer coefficients")
-    P1, P2 = canonicalize(P1), canonicalize(P2)
-    if graded_ranks(P1) != graded_ranks(P2):
-        return None
-    return P1, P2
+    R1, R2 = SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2))
+    return (R1, R2) if R1.ranks == R2.ranks else None
 
 
 def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
@@ -625,26 +656,37 @@ def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be >= 1")
-    pair = _canonical_pair(P1, P2)
-    if pair is None:
+    rings = _canonical_pair(P1, P2)
+    if rings is None:
         return IsoSearchResult(NO_ISO)
-    P1, P2 = pair
+    R1, R2 = rings
+    P1, P2 = R1.P, R2.P
     if not preserve and P1 == P2:
         identity = IsoWitness(P1, P2, {P1.x_name: P2.x(), P1.w_name: P2.w()},
                               params={"identity": True})
-        if verify_iso(identity):
+        if verify_iso(identity, rings=rings):
             return IsoSearchResult(FOUND, identity)
 
     if bound is not None:
         if P1.w_degree != P2.w_degree:
             return IsoSearchResult(NO_ISO)
-        for witness in _enum_candidates(P1, P2, preserve, bound):
+        for witness in _enum_candidates(R1, R2, preserve, bound):
             return IsoSearchResult(FOUND, witness)
         return IsoSearchResult(UNKNOWN)
 
-    for witness in _exact_candidates(P1, P2, preserve):
+    for _, witness in _exact_candidates(R1, R2, [preserve]):
         return IsoSearchResult(FOUND, witness)
     return IsoSearchResult(NO_ISO)
+
+
+def find_iso_per_class(R1: SearchRing, R2: SearchRing, classes) -> list[IsoSearchResult]:
+    """What find_iso(R1.P, R2.P, [c]) returns for each class pair c, from
+    one exact search; R1, R2 hold canonical integer presentations."""
+    results = [IsoSearchResult(NO_ISO) for _ in classes]
+    if R1.ranks == R2.ranks:
+        for i, witness in _exact_candidates(R1, R2, [[c] for c in classes]):
+            results[i] = IsoSearchResult(FOUND, witness)
+    return results
 
 
 def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
@@ -653,6 +695,7 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     On an infinite witness family only line representatives are yielded;
     existence questions (the oracle's contract) are unaffected.
     """
-    pair = _canonical_pair(P1, P2)
-    if pair is not None:
-        yield from _exact_candidates(*pair, preserve)
+    rings = _canonical_pair(P1, P2)
+    if rings is not None:
+        for _, witness in _exact_candidates(*rings, [preserve], every=True):
+            yield witness

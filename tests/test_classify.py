@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from torusclass.classify import (DIFFEOMORPHIC, DIMENSION_MISMATCH,
                                  compare_report, diffeo_key, diffeomorphic,
                                  normalize, rigidity_class, ring_key)
 from torusclass.invariants import ManifoldDescriptor
+from torusclass.isosearch import find_iso
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)
@@ -222,6 +224,28 @@ def test_compare_reports_pinned():
     for d1, d2 in pairs:
         h.update(json.dumps(compare_report(d1, d2).to_json(), sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == COMPARE_REPORTS_DIGEST
+
+
+def test_one_search_answers_like_two_separate_ones():
+    # compare_report answers p and w from one search; each boolean must be
+    # that of a find_iso preserving that class alone
+    by_ring = {}
+    for d in grid_descriptors(6, 6, 4):
+        by_ring.setdefault(ring_key(d), []).append(d)
+    pairs = [pair for group in by_ring.values() for pair in itertools.combinations(group, 2)]
+    pairs = random.Random(0).sample(pairs, 300)
+    pairs += [(A(3, 5, 30, 30), A(3, -5, 30, 30)), (B(3, 5, 40, 20), B(3, -5, 40, 20))]
+    seen = set()
+    for d1, d2 in pairs:
+        rep = compare_report(d1, d2)
+        r1, r2 = invariants.report(d1), invariants.report(d2)
+        for name, got in (("pontrjagin", rep.p_preservable),
+                          ("stiefel_whitney", rep.w_preservable)):
+            alone = find_iso(r1.cohomology, r2.cohomology,
+                             [(getattr(r1, name), getattr(r2, name))])
+            assert got == alone.found, (d1, d2, name)
+            seen.add((name, got))
+    assert len(seen) == 4
 
 
 def _count_cohomology(monkeypatch) -> list:

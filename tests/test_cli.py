@@ -65,27 +65,25 @@ def test_compare_verdicts_are_data_not_exit_codes(capsys):
 
 
 def test_compare_oracle_disagreement_exit_code(capsys, monkeypatch):
-    # a diffeomorphic pair for which the p-preserving (first) search says
-    # "no", or for which the w decision says "no" (the p witness does not
-    # carry w, and the w-preserving second search finds nothing), is a
+    # a diffeomorphic pair for which the search says "no" for the
+    # p-preserving class (0) or for the w-preserving one (1) is a
     # consistency failure
-    real = classify.find_iso
-    for failing in (1, 2):
+    real = classify.find_iso_per_class
+    for failing in (0, 1):
         calls = []
 
-        def find_iso(P1, P2, preserve=(), **kwargs):
-            calls.append(preserve)
-            if len(calls) == failing:
-                return IsoSearchResult(NO_ISO)
-            return real(P1, P2, preserve, **kwargs)
+        def find_iso_per_class(R1, R2, classes):
+            calls.append(classes)
+            results = real(R1, R2, classes)
+            assert results[failing].found
+            results[failing] = IsoSearchResult(NO_ISO)
+            return results
 
-        monkeypatch.setattr(classify, "find_iso", find_iso)
-        if failing == 2:
-            monkeypatch.setattr(classify, "check_preserves", lambda *args: False)
+        monkeypatch.setattr(classify, "find_iso_per_class", find_iso_per_class)
         code = main(["compare", "B(3,2,1,3)", "B(3,1,4,0)"])
         captured = capsys.readouterr()
         assert code == 2, failing
-        assert len(calls) == 2, failing
+        assert len(calls) == 1 and len(calls[0]) == 2, failing
         assert captured.out == ""
         assert "internal consistency failure" in captured.err
 

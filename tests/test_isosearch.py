@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_descriptors
 from torusclass import isosearch
+from torusclass.classify import ring_key
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
@@ -188,6 +189,73 @@ def test_mod2_preservation_uses_reduced_witness():
     assert not check_preserves(w, stiefel_whitney(d1), stiefel_whitney(d2))
 
 
+def _count_evaluate_hom(monkeypatch) -> list:
+    orig, calls = isosearch.evaluate_hom, []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(isosearch, "evaluate_hom", counted)
+    return calls
+
+
+def test_image_table_agrees_with_evaluate_hom(monkeypatch):
+    # the witnesses of the ring-isomorphic GRID4 pairs carry verify_iso's
+    # table; p (integer) and w (mod 2) read from it must match the same
+    # images pushed through evaluate_hom
+    by_ring = {}
+    for d in grid_descriptors(4, 4, 3):
+        by_ring.setdefault(ring_key(d), []).append(d)
+    pairs = [pair for group in by_ring.values() for pair in itertools.combinations(group, 2)]
+    classes = {}
+    calls = _count_evaluate_hom(monkeypatch)
+    seen = set()
+    for d1, d2 in pairs[::4]:
+        witness = find_iso(ring(d1), ring(d2)).witness
+        assert witness.table is not None
+        plain = IsoWitness(witness.source, witness.target, witness.images)
+        for cls in (pontrjagin, stiefel_whitney):
+            c1, c2 = (classes.setdefault((cls, d), cls(d)) for d in (d1, d2))
+            calls.clear()
+            from_table = check_preserves(witness, c1, c2)
+            assert not calls
+            assert check_preserves(plain, c1, c2) == from_table and calls, (d1, d2, cls)
+            seen.add((cls, from_table))
+    assert len(seen) == 4
+
+
+def test_unverified_witness_falls_back_to_evaluate_hom(monkeypatch):
+    d = B(4, 2, 2, 0)
+    P = ring(d)
+    w = IsoWitness(P, P, {"x": -P.x(), "z": P.w()})
+    calls = _count_evaluate_hom(monkeypatch)
+    assert check_preserves(w, pontrjagin(d), pontrjagin(d))
+    assert check_preserves(w, stiefel_whitney(d), stiefel_whitney(d))
+    assert len(calls) == 2 and w.table is None
+
+
+def test_verify_on_other_presentations_leaves_no_table(monkeypatch):
+    d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
+    P1, P2 = ring(d1), ring(d2)
+    witness = find_iso(P1, P2).witness
+    assert witness.table is not None
+    # the ring of d1 with a relation term past x^(l+1): the witness still
+    # verifies there, but on presentations that are not its own
+    x = P1.x()
+    raw = RingPresentation("x", "y", 2, 2, P1.relation + x * x * x)
+    assert raw != P1 and canonicalize(raw) == P1
+    assert verify_iso(witness, raw, P2)
+    assert witness.table is None
+    assert verify_iso(witness) and witness.table is not None
+    assert not verify_iso(witness, P1, ring(A(2, 3, 1, 2)))
+    assert witness.table is None
+    calls = _count_evaluate_hom(monkeypatch)
+    assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2))
+    assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2))
+    assert len(calls) == 2
+
+
 # --- preserve-constrained search --------------------------------------------------------
 
 def test_find_iso_with_class_constraint():
@@ -364,7 +432,7 @@ def _sign_lines(P1, P2):
         return [(shared, eps1 ** d, d, eps1, eps2, _Monomials(core, eps1 * x, eps2 * w))
                 for eps1 in (1, -1) for eps2 in (1, -1)]
     lines = []
-    for p, q in _nilpotent_directions(P1, core):
+    for p, q in _nilpotent_directions(P1, _Monomials(core, x, w)):
         g, s_a, s_b = _egcd(p, q)
         shared = _Monomials(core, p * x + q * w, -s_b * g * x + s_a * g * w)
         for sgn in (1, -1):
@@ -474,7 +542,7 @@ def test_nilpotent_directions_are_exactly_the_nilpotent_ones():
         if graded_ranks(P1) != graded_ranks(P2):
             continue
         pairs += 1
-        dirs = _nilpotent_directions(P1, TruncatedProducts(P2))
+        dirs = _nilpotent_directions(P1, _Monomials(TruncatedProducts(P2), P2.x(), P2.w()))
 
         def nilpotent(p, q):
             return normal_form((p * P2.x() + q * P2.w()) ** (P1.ell + 1), P2).is_zero()
@@ -498,5 +566,6 @@ def test_nilpotent_directions_take_linearly_many_products():
         return mul(p, q)
 
     core.mul = counted
-    assert _nilpotent_directions(ring(A(ell, 3, 2, 2)), core) == [(1, 0)]
+    ladder = _Monomials(core, core.P.x(), core.P.w())
+    assert _nilpotent_directions(ring(A(ell, 3, 2, 2)), ladder) == [(1, 0)]
     assert len(calls) <= 3 * (ell + 2)
