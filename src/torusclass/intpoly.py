@@ -212,7 +212,7 @@ class GradedPoly:
 
     def lift_to_int(self) -> "GradedPoly":
         """Reinterpret 0/1 coefficients over the integers."""
-        return GradedPoly(self.gens, dict(self.terms), Domain.INT)
+        return GradedPoly._trusted(self.gens, dict(self.terms), Domain.INT)
 
     # -- rendering -----------------------------------------------------------
 

@@ -17,8 +17,12 @@ The mode is selected by ``bound``:
   roots are found exactly; preserved mod-2 classes keep the roots at
   which their polynomials are even.  Exhaustion here is a definite
   "no isomorphism".  find_iso, iter_isos and find_iso_per_class (one
-  answer per class) run on one line enumerator, whose relation roots and
-  verified witnesses per line serve every class asked about.
+  answer per class) walk one _PairLines per ordered ring pair, whose
+  relation roots and verified witnesses per line serve every class asked
+  about.  find_iso and iter_isos build a fresh one per call;
+  find_iso_per_class keeps the PAIR_LINES_BOUND most recently used, which
+  pays where ring pairs recur (84-86% of compare_report's pairs on a grid,
+  none between distinct large descriptors).
 * an integer ``bound >= 1`` (enum) - literal brute force over images with
   coefficients in [-bound, bound]; exhaustion without a witness is
   *indeterminate*.
@@ -38,7 +42,7 @@ from functools import cached_property
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form, presentation_mod2)
+                                 monomial_basis, normal_form)
 
 
 class IsoWitness:
@@ -382,8 +386,8 @@ def _line_solver(P1, line):
 
 class SearchRing:
     """A presentation with its graded ranks and, from first use, its
-    monomial basis.  compare_report keeps one per descriptor; find_iso
-    builds two per call."""
+    monomial basis and product core.  compare_report keeps one per
+    descriptor; find_iso builds two per call."""
 
     def __init__(self, P: RingPresentation):
         self.P, self.ranks = P, graded_ranks(P)
@@ -391,6 +395,10 @@ class SearchRing:
     @cached_property
     def basis(self) -> list[tuple[int, int]]:
         return monomial_basis(self.P)
+
+    @cached_property
+    def core(self) -> TruncatedProducts:
+        return TruncatedProducts(self.P)
 
 
 def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
@@ -409,7 +417,7 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
         if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
             return False
 
-    mono = _Monomials(TruncatedProducts(P2), images[P1.x_name], images[P1.w_name])
+    mono = _Monomials(R2.core, images[P1.x_name], images[P1.w_name])
     ell1 = P1.ell
     if not mono.nf(ell1 + 1, 0).is_zero():
         return False
@@ -452,15 +460,20 @@ def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement) -
 
     Integer classes are pushed through the witness directly; mod-2 classes
     through its mod-2 reduction.  A class of the witness's target (or of
-    its mod-2 reduction) is read from the table verify_iso left, mod-2
-    images by reducing coefficients; any other goes through evaluate_hom.
+    its mod-2 reduction: same shape, relation terms reduced mod 2) is read
+    from the table verify_iso left, mod-2 images by reducing coefficients;
+    any other goes through evaluate_hom.
     """
     if c1.poly.domain is not c2.poly.domain:
         raise ValueError("classes live in different coefficient domains")
     mod2 = c1.poly.domain is Domain.MOD2
-    table, target = witness.table, witness.target
-    if (table is not None and c1.poly.gens == witness.source.gens
-            and c2.presentation == (presentation_mod2(target) if mod2 else target)):
+    table, target, Q = witness.table, witness.target, c2.presentation
+    if mod2:
+        home = (Q.domain is Domain.MOD2 and Q.gens == target.gens and Q.ell == target.ell
+                and Q.relation.terms == {e: 1 for e, c in target.relation.terms.items() if c % 2})
+    else:
+        home = Q == target
+    if table is not None and home and c1.poly.gens == witness.source.gens:
         image: dict[tuple[int, int], int] = {}
         for (a, b), c in c1.poly.terms.items():
             for key, v in table.nf(a, b).terms.items():
@@ -475,15 +488,15 @@ def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement) -
 
 def _matrix_witness(P1, P2, alpha, gamma, beta, delta) -> IsoWitness:
     """x -> alpha x + beta w, w -> gamma x + delta w (both of degree 2)."""
-    images = {P1.x_name: GradedPoly(P2.gens, {(1, 0): alpha, (0, 1): beta}),
-              P1.w_name: GradedPoly(P2.gens, {(1, 0): gamma, (0, 1): delta})}
+    images = {P1.x_name: P2.relation._clean({(1, 0): alpha, (0, 1): beta}),
+              P1.w_name: P2.relation._clean({(1, 0): gamma, (0, 1): delta})}
     return IsoWitness(P1, P2, images, params={"matrix": ((alpha, gamma), (beta, delta))})
 
 
 def _shear_witness(P1, P2, eps1, a, eps2) -> IsoWitness:
     """x -> eps1 x, w -> eps2 w + a x^d (w of degree 2d)."""
-    images = {P1.x_name: GradedPoly(P2.gens, {(1, 0): eps1}),
-              P1.w_name: GradedPoly(P2.gens, {(0, 1): eps2, (P1.w_degree // 2, 0): a})}
+    images = {P1.x_name: P2.relation._clean({(1, 0): eps1}),
+              P1.w_name: P2.relation._clean({(0, 1): eps2, (P1.w_degree // 2, 0): a})}
     return IsoWitness(P1, P2, images, params={"eps": eps1, "a": a, "eps2": eps2})
 
 
@@ -542,7 +555,7 @@ def _lines(R1: SearchRing, R2: SearchRing):
     if P1.w_exponent == 1 and P2.w_exponent == 1 and P1.ell == P2.ell:
         w1_rest = P1.relation - GradedPoly.monomial(P1.gens, (0, 1))
         for eps1 in (1, -1):
-            ximg = GradedPoly(P2.gens, {(1, 0): eps1})
+            ximg = P2.relation._clean({(1, 0): eps1})
             # w1 is congruent to -(f1 - w1); push that through x -> eps1 x
             wimg = evaluate_hom({P1.x_name: ximg, P1.w_name: GradedPoly.zero(P2.gens)},
                                 -w1_rest, P2).poly
@@ -551,9 +564,8 @@ def _lines(R1: SearchRing, R2: SearchRing):
             yield None, lambda t, w=witness: w
     if P1.w_exponent == 1 or P2.w_exponent == 1 or P1.w_degree != P2.w_degree:
         return
-    core = TruncatedProducts(P2)
-    ladder = _Monomials(core, *(GradedPoly._trusted(core.one.gens, {e: 1}, Domain.INT)
-                               for e in ((1, 0), (0, 1))))  # x^i w^j
+    core = R2.core
+    ladder = _Monomials(core, *(P2.relation._clean({e: 1}) for e in ((1, 0), (0, 1))))  # x^i w^j
     if P1.w_degree > 2:
         d = P1.w_degree // 2
         for eps1, eps2 in itertools.product((1, -1), repeat=2):
@@ -566,8 +578,8 @@ def _lines(R1: SearchRing, R2: SearchRing):
                 continue
             s_a, s_b = s_a * g, s_b * g  # now p*s_a + q*s_b == 1
             mono = ladder if (p, q) == (1, 0) else _Monomials(
-                core, GradedPoly(P2.gens, {(1, 0): p, (0, 1): q}),
-                GradedPoly(P2.gens, {(1, 0): -s_b, (0, 1): s_a}))
+                core, P2.relation._clean({(1, 0): p, (0, 1): q}),
+                P2.relation._clean({(1, 0): -s_b, (0, 1): s_a}))
             for sgn, det in itertools.product((1, -1), repeat=2):
                 a, b, c, d = sgn * p, sgn * q, -s_b * sgn * det, s_a * sgn * det
                 yield ((mono, 1, 1, sgn, sgn * det),
@@ -575,7 +587,26 @@ def _lines(R1: SearchRing, R2: SearchRing):
                                                                      b, d + t * b))
 
 
-def _exact_candidates(R1: SearchRing, R2: SearchRing, groups, every: bool = False):
+class _PairLines:
+    """The exact solver's state for an ordered pair of SearchRings: the
+    lines of _lines(R1, R2), materialised as they are consumed, each with
+    its solve (see _line_solver), its make(t) and its verified witnesses by
+    t (None where verify_iso rejects)."""
+
+    def __init__(self, R1: SearchRing, R2: SearchRing):
+        self.rings = R1, R2
+        self._pending = _lines(R1, R2)
+        self._done = []
+
+    def __iter__(self):
+        yield from self._done
+        for line, make in self._pending:  # left open when the caller stops
+            solve = _line_solver(self.rings[0].P, line) if line else lambda _: [0]
+            self._done.append((solve, make, {}))
+            yield self._done[-1]
+
+
+def _exact_candidates(lines: _PairLines, groups, every: bool = False):
     """(i, witness) per verified witness of the exact solver, in its
     canonical order, that carries each class of groups[i] to its partner
     (canonical rings of equal graded ranks).  A line's relation roots and
@@ -585,14 +616,12 @@ def _exact_candidates(R1: SearchRing, R2: SearchRing, groups, every: bool = Fals
                  c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in group]
                for group in groups]
     live = list(range(len(groups)))
-    for line, make in _lines(R1, R2):
-        solve = _line_solver(R1.P, line) if line else lambda _: [0]
-        verified = {}
+    for solve, make, verified in lines:
         for i in live[:]:
             for t in solve(classes[i]):
                 if t not in verified:
                     witness = make(t)
-                    verified[t] = witness if verify_iso(witness, rings=(R1, R2)) else None
+                    verified[t] = witness if verify_iso(witness, rings=lines.rings) else None
                 witness = verified[t]
                 if witness is not None and all(check_preserves(witness, c1, c2)
                                                for c1, c2 in groups[i]):
@@ -674,18 +703,35 @@ def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
             return IsoSearchResult(FOUND, witness)
         return IsoSearchResult(UNKNOWN)
 
-    for _, witness in _exact_candidates(R1, R2, [preserve]):
+    for _, witness in _exact_candidates(_PairLines(R1, R2), [preserve]):
         return IsoSearchResult(FOUND, witness)
     return IsoSearchResult(NO_ISO)
 
 
+# ordered pair of canonical presentations -> its _PairLines, least recently used first
+_PAIR_LINES: dict = {}
+PAIR_LINES_BOUND = 64
+
+
 def find_iso_per_class(R1: SearchRing, R2: SearchRing, classes) -> list[IsoSearchResult]:
     """What find_iso(R1.P, R2.P, [c]) returns for each class pair c, from
-    one exact search; R1, R2 hold canonical integer presentations."""
+    one exact search; R1, R2 hold canonical integer presentations.
+
+    The search state of the ordered ring pair (its lines, relation roots
+    and verified witnesses) is kept for the PAIR_LINES_BOUND most recently
+    used pairs, so a ring pair that recurs is solved once.  Returned
+    witnesses are shared between calls.
+    """
     results = [IsoSearchResult(NO_ISO) for _ in classes]
     if R1.ranks == R2.ranks:
-        for i, witness in _exact_candidates(R1, R2, [[c] for c in classes]):
+        key = R1.P, R2.P
+        # taken out while in use: a search that raises leaves no state behind
+        lines = _PAIR_LINES.pop(key, None) or _PairLines(R1, R2)
+        for i, witness in _exact_candidates(lines, [[c] for c in classes]):
             results[i] = IsoSearchResult(FOUND, witness)
+        _PAIR_LINES[key] = lines
+        if len(_PAIR_LINES) > PAIR_LINES_BOUND:
+            del _PAIR_LINES[next(iter(_PAIR_LINES))]
     return results
 
 
@@ -697,5 +743,5 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     """
     rings = _canonical_pair(P1, P2)
     if rings is not None:
-        for _, witness in _exact_candidates(*rings, [preserve], every=True):
+        for _, witness in _exact_candidates(_PairLines(*rings), [preserve], every=True):
             yield witness

@@ -79,6 +79,10 @@ class RingPresentation:
                 and self.w_degree == other.w_degree and self.ell == other.ell
                 and self.domain is other.domain and self.relation == other.relation)
 
+    def __hash__(self) -> int:
+        return hash((self.x_name, self.w_name, self.w_degree, self.ell, self.domain,
+                     frozenset(self.relation.terms.items())))
+
     def __str__(self) -> str:
         coeff = "Z" if self.domain is Domain.INT else "F2"
         return (f"{coeff}[{self.x_name},{self.w_name}]/"

@@ -30,6 +30,14 @@ def grid_descriptors(l_max, sum_max, rho_max, families="AB"):
     return out
 
 
+def rebuilt_identically(*results):
+    """Every result equals its revalidation by the public constructor, term
+    for term: no zero coefficient, no unreduced mod-2 coefficient."""
+    from torusclass.intpoly import GradedPoly
+
+    return all(GradedPoly(r.gens, r.terms, r.domain).terms == r.terms for r in results)
+
+
 def fresh_python(*args, **kwargs) -> subprocess.Popen:
     """A fresh interpreter that imports torusclass from this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import rebuilt_identically
 from reference import graded_component
 from torusclass.intpoly import Domain, GradedPoly, substitute
 
@@ -171,12 +172,6 @@ small_exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
 def polys(domain=Domain.INT):
     return st.dictionaries(small_exps, small_coeff, max_size=5).map(
         lambda t: GradedPoly(XY, t, domain))
-
-
-def rebuilt_identically(*results):
-    """Every result equals its revalidation by the public constructor, term
-    for term: no zero coefficient, no unreduced mod-2 coefficient."""
-    return all(GradedPoly(r.gens, r.terms, r.domain).terms == r.terms for r in results)
 
 
 @given(polys(), polys(), polys())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -7,18 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import grid_descriptors
+from conftest import grid_descriptors, rebuilt_identically
 from torusclass import isosearch
 from torusclass.classify import ring_key
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, _egcd, _int_roots,
-                                  _line_image, _Monomials, _nilpotent_directions,
-                                  _rational_roots, _ueval, check_preserves, find_iso,
+from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchRing, _egcd,
+                                  _int_roots, _line_image, _Monomials,
+                                  _nilpotent_directions, _rational_roots, _ueval,
+                                  check_preserves, find_iso, find_iso_per_class,
                                   iter_isos, verify_iso)
-from torusclass.quotient import (RingPresentation, TruncatedProducts, canonicalize,
-                                 evaluate_hom, graded_ranks, normal_form,
+from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
+                                 canonicalize, evaluate_hom, graded_ranks, normal_form,
                                  presentation_mod2)
 
 A = lambda *a: ManifoldDescriptor("A", *a)
@@ -254,6 +256,93 @@ def test_verify_on_other_presentations_leaves_no_table(monkeypatch):
     assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2))
     assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2))
     assert len(calls) == 2
+
+
+def test_mod2_class_of_another_ring_of_the_same_shape_falls_back(monkeypatch):
+    # P2 = Z[x,y]/<x^2, y^2> and Q = F2[x,y]/<x^2, y^2 + x*y> share their
+    # shape, not their reduction: x*y goes to y(y - x), which is x*y in P2
+    # mod 2 but 0 in Q, so reading an element of Q from the table is wrong
+    P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
+    witness = find_iso(P1, P2).witness
+    assert witness.text() == "x -> y, y -> y - x" and witness.table is not None
+    Q1, Q2, Q = map(presentation_mod2, (P1, P2, ring(A(1, 1, 1, 1))))
+    assert Q.gens == Q2.gens and Q.ell == Q2.ell and Q != Q2
+    xy = {(1, 1): 1}
+    c1 = NormalElement(Q1, Q1.poly(xy))
+    calls = _count_evaluate_hom(monkeypatch)
+    assert check_preserves(witness, c1, NormalElement(Q2, Q2.poly(xy)))
+    assert not calls  # P2's own reduction, built anew, is read from the table
+    assert not check_preserves(witness, c1, NormalElement(Q, Q.poly(xy)))
+    assert check_preserves(witness, c1, NormalElement(Q, Q.zero()))
+    assert len(calls) == 2
+
+
+def test_witness_images_rebuild_identically():
+    # the solver builds its witness images without re-validation; each must
+    # equal its public-constructor rebuild, zero coefficients dropped
+    by_ranks = {}
+    for d in grid_descriptors(4, 4, 3):
+        P = canonicalize(ring(d))
+        by_ranks.setdefault(str(graded_ranks(P)), {}).setdefault(str(P), P)
+    pairs = [pair for rings in by_ranks.values()
+             for pair in itertools.product(rings.values(), repeat=2)]
+    kinds = set()
+    for P1, P2 in random.Random(18).sample(pairs, 200):
+        for witness in iter_isos(P1, P2):
+            assert rebuilt_identically(*witness.images.values()), (P1, P2, witness.text())
+            params = witness.params
+            if "matrix" in params:
+                kinds.add(("matrix", 0 in itertools.chain(*params["matrix"])))
+            elif "a" in params:
+                kinds.add(("shear", params["a"] == 0))
+    # images with a zero coefficient to drop: a matrix entry 0, a shear with a = 0
+    assert {("matrix", True), ("shear", True)} <= kinds
+
+
+# --- the search state kept per ordered ring pair ------------------------------------------
+
+def _pair_lines_snapshot():
+    return [(key, lines, len(lines._done)) for key, lines in isosearch._PAIR_LINES.items()]
+
+
+def test_find_iso_and_iter_isos_leave_the_pair_lines_untouched():
+    d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
+    P1, P2 = ring(d1), ring(d2)
+    p = (pontrjagin(d1), pontrjagin(d2))
+    isosearch._PAIR_LINES.clear()
+    find_iso_per_class(SearchRing(P1), SearchRing(P2), [p])
+    before = _pair_lines_snapshot()
+    assert len(before) == 1
+    for preserve in ((), [p], [(stiefel_whitney(d1), stiefel_whitney(d2))]):
+        find_iso(P1, P2, preserve)
+        list(iter_isos(P1, P2, preserve))
+        find_iso(P2, P1, preserve[::-1] and [preserve[0][::-1]])
+    assert _pair_lines_snapshot() == before
+
+
+def test_cached_witness_verified_elsewhere_gives_the_same_answers():
+    # answers from the kept state must not depend on what a caller did with
+    # a witness it was given: verify_iso on other presentations clears the
+    # witness's table, and check_preserves then falls back to evaluate_hom
+    d1, d2 = B(3, 2, 2, 0), B(3, -2, 2, 0)
+    P1, P2 = ring(d1), ring(d2)
+    classes = [(pontrjagin(d1), pontrjagin(d2)), (stiefel_whitney(d1), stiefel_whitney(d2))]
+
+    def ask():
+        results = find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)
+        return [(r.status, r.witness and r.witness.params) for r in results]
+
+    isosearch._PAIR_LINES.clear()
+    expected = ask()
+    assert [status for status, _ in expected] == ["found", "found"]
+    witness = find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)[0].witness
+    raw = RingPresentation("x", "z", 4, 3, P1.relation + P1.x() ** 4)
+    assert raw != P1 and canonicalize(raw) == P1
+    assert verify_iso(witness, raw, P2) and witness.table is None
+    assert ask() == expected
+    assert find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)[0].witness is witness
+    isosearch._PAIR_LINES.clear()
+    assert ask() == expected
 
 
 # --- preserve-constrained search --------------------------------------------------------
