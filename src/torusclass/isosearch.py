@@ -22,7 +22,9 @@ The mode is selected by ``bound``:
   about.  find_iso and iter_isos build a fresh one per call;
   find_iso_per_class keeps the PAIR_LINES_BOUND most recently used, which
   pays where ring pairs recur (84-86% of compare_report's pairs on a grid,
-  none between distinct large descriptors).
+  none between distinct large descriptors), and keeps in each the answer
+  to every class pair asked, so a repeated class pair is one lookup (on a
+  grid 48-49% of the p and 84% of the w questions repeat).
 * an integer ``bound >= 1`` (enum) - literal brute force over images with
   coefficients in [-bound, bound]; exhaustion without a witness is
   *indeterminate*.
@@ -591,12 +593,15 @@ class _PairLines:
     """The exact solver's state for an ordered pair of SearchRings: the
     lines of _lines(R1, R2), materialised as they are consumed, each with
     its solve (see _line_solver), its make(t) and its verified witnesses by
-    t (None where verify_iso rejects)."""
+    t (None where verify_iso rejects).  `answers` is filled by
+    find_iso_per_class: class pair key (see _answer_key) -> the first
+    witness that preserves it, or None when none does."""
 
     def __init__(self, R1: SearchRing, R2: SearchRing):
         self.rings = R1, R2
         self._pending = _lines(R1, R2)
         self._done = []
+        self.answers = {}
 
     def __iter__(self):
         yield from self._done
@@ -713,26 +718,44 @@ _PAIR_LINES: dict = {}
 PAIR_LINES_BOUND = 64
 
 
+def _answer_key(c1: NormalElement, c2: NormalElement) -> tuple:
+    """The class pair by value: its domain and both term sets."""
+    return (c1.poly.domain, tuple(sorted(c1.poly.terms.items())),
+            tuple(sorted(c2.poly.terms.items())))
+
+
 def find_iso_per_class(R1: SearchRing, R2: SearchRing, classes) -> list[IsoSearchResult]:
     """What find_iso(R1.P, R2.P, [c]) returns for each class pair c, from
-    one exact search; R1, R2 hold canonical integer presentations.
+    one exact search; R1, R2 hold canonical integer presentations, and each
+    class lives in its side's presentation or in that presentation's mod-2
+    reduction.
 
-    The search state of the ordered ring pair (its lines, relation roots
-    and verified witnesses) is kept for the PAIR_LINES_BOUND most recently
-    used pairs, so a ring pair that recurs is solved once.  Returned
-    witnesses are shared between calls.
+    The search state of the ordered ring pair (its lines, relation roots,
+    verified witnesses and the answer to every class pair asked so far) is
+    kept for the PAIR_LINES_BOUND most recently used pairs, so a ring pair
+    that recurs is solved once and a class pair asked again costs one
+    lookup.  Under the contract above an answer depends only on the two
+    presentations and on the class pair's domain and terms, which is what
+    the state and its answers are keyed by.  Returned witnesses are shared
+    between calls.
     """
-    results = [IsoSearchResult(NO_ISO) for _ in classes]
-    if R1.ranks == R2.ranks:
-        key = R1.P, R2.P
-        # taken out while in use: a search that raises leaves no state behind
-        lines = _PAIR_LINES.pop(key, None) or _PairLines(R1, R2)
-        for i, witness in _exact_candidates(lines, [[c] for c in classes]):
-            results[i] = IsoSearchResult(FOUND, witness)
-        _PAIR_LINES[key] = lines
-        if len(_PAIR_LINES) > PAIR_LINES_BOUND:
-            del _PAIR_LINES[next(iter(_PAIR_LINES))]
-    return results
+    if R1.ranks != R2.ranks:
+        return [IsoSearchResult(NO_ISO) for _ in classes]
+    key = R1.P, R2.P
+    # taken out while in use: a search that raises leaves no state behind
+    lines = _PAIR_LINES.pop(key, None) or _PairLines(R1, R2)
+    answers = lines.answers
+    keys = [_answer_key(c1, c2) for c1, c2 in classes]
+    unseen = {k: c for k, c in zip(keys, classes) if k not in answers}
+    if unseen:
+        found = dict(_exact_candidates(lines, [[c] for c in unseen.values()]))
+        for i, k in enumerate(unseen):  # only once the walk has finished
+            answers[k] = found.get(i)
+    _PAIR_LINES[key] = lines
+    if len(_PAIR_LINES) > PAIR_LINES_BOUND:
+        del _PAIR_LINES[next(iter(_PAIR_LINES))]
+    return [IsoSearchResult(NO_ISO) if answers[k] is None else IsoSearchResult(FOUND, answers[k])
+            for k in keys]
 
 
 def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -28,6 +30,27 @@ def grid_descriptors(l_max, sum_max, rho_max, families="AB"):
                     for k2 in range(k2_min, sum_max - k1 + 1):
                         out.append(ManifoldDescriptor(fam, ell, rho, k1, k2))
     return out
+
+
+@functools.cache
+def compare_reports_from_fresh_state() -> dict:
+    """compare_report of every ring-isomorphic GRID4 pair and two large
+    ones, by pair, each with the kept search state of ring pairs cleared
+    first."""
+    import torusclass.isosearch as isosearch
+    from torusclass.classify import cohomology_isomorphic, compare_report
+    from torusclass.invariants import ManifoldDescriptor
+
+    pairs = [(d1, d2) for d1, d2 in itertools.combinations(grid_descriptors(4, 4, 3), 2)
+             if cohomology_isomorphic(d1, d2)]
+    assert len(pairs) == 2710
+    pairs += [(ManifoldDescriptor("A", 3, 5, 30, 30), ManifoldDescriptor("A", 3, -5, 30, 30)),
+              (ManifoldDescriptor("B", 3, 5, 40, 20), ManifoldDescriptor("B", 3, -5, 40, 20))]
+    reports = {}
+    for d1, d2 in pairs:
+        isosearch._PAIR_LINES.clear()
+        reports[(d1, d2)] = compare_report(d1, d2).to_json()
+    return reports
 
 
 def rebuilt_identically(*results):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -10,7 +9,7 @@ import pytest
 import torusclass.classify as classify
 import torusclass.invariants as invariants
 import torusclass.isosearch as isosearch
-from conftest import grid_descriptors
+from conftest import compare_reports_from_fresh_state, grid_descriptors
 from torusclass.classify import (DIFFEOMORPHIC, DIMENSION_MISMATCH,
                                  NOT_DIFFEOMORPHIC, InternalConsistencyError,
                                  bott_equivalent, cohomology_isomorphic,
@@ -216,32 +215,16 @@ def test_compare_report_w_obstruction():
 COMPARE_REPORTS_DIGEST = "cce010a7e259ca5189157b3b38ead8263b7b07db4f3d740ef7914020d9314dae"
 
 
-@functools.cache
-def _reports_from_fresh_state() -> dict:
-    """compare_report of every ring-isomorphic GRID4 pair and two large
-    ones, by pair, each with the kept search state of ring pairs cleared
-    first."""
-    pairs = [(d1, d2) for d1, d2 in itertools.combinations(grid_descriptors(4, 4, 3), 2)
-             if cohomology_isomorphic(d1, d2)]
-    assert len(pairs) == 2710
-    pairs += [(A(3, 5, 30, 30), A(3, -5, 30, 30)), (B(3, 5, 40, 20), B(3, -5, 40, 20))]
-    reports = {}
-    for d1, d2 in pairs:
-        isosearch._PAIR_LINES.clear()
-        reports[(d1, d2)] = compare_report(d1, d2).to_json()
-    return reports
-
-
 def test_compare_reports_pinned():
     # every ring-isomorphic GRID4 pair and two large ones, with both class searches
     h = hashlib.sha256()
-    for report in _reports_from_fresh_state().values():
+    for report in compare_reports_from_fresh_state().values():
         h.update(json.dumps(report, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == COMPARE_REPORTS_DIGEST
 
 
 def test_kept_search_state_changes_no_report(monkeypatch):
-    expected = _reports_from_fresh_state()
+    expected = compare_reports_from_fresh_state()
     pairs = list(expected)
     random.Random(18).shuffle(pairs)
     made = []
@@ -259,7 +242,7 @@ def test_kept_search_state_changes_no_report(monkeypatch):
 
 
 def test_evicted_search_state_changes_no_report(monkeypatch):
-    expected = _reports_from_fresh_state()
+    expected = compare_reports_from_fresh_state()
     monkeypatch.setattr(isosearch, "PAIR_LINES_BOUND", 2)
     isosearch._PAIR_LINES.clear()
     for d1, d2 in random.Random(19).sample(list(expected), 400):
