@@ -63,16 +63,6 @@ def _range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _bound(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
-    if not 1 <= value <= 30:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range 1<=x<=30")
-    return value
-
-
 def _existing_file(text: str) -> str:
     if not os.path.exists(text):
         raise argparse.ArgumentTypeError(f"file {text!r} does not exist")
@@ -120,13 +110,11 @@ def dj_cmd(args):
 
 
 def oracle_iso_cmd(args):
-    """Exact search (or, with --bound, bounded enumeration) for a graded ring isomorphism."""
+    """Exact search for a graded ring isomorphism."""
     d1, d2 = _descriptor(args.first), _descriptor(args.second)
-    res = find_iso(cohomology(d1), cohomology(d2), bound=args.bound)
+    res = find_iso(cohomology(d1), cohomology(d2))
     payload = {
         "descriptors": [d1.render(), d2.render()],
-        "bound": args.bound,
-        "mode": "exact" if args.bound is None else "enum",
         "status": res.status,
         "witness": None,
     }
@@ -168,7 +156,7 @@ def table_cmd(args):
 
 
 # options that take a value; the token after one is always its value
-_VALUE_OPTIONS = ("--l", "--rho", "--k1", "--k2", "--family", "--format", "--matrix", "--bound")
+_VALUE_OPTIONS = ("--l", "--rho", "--k1", "--k2", "--family", "--format", "--matrix")
 
 
 def _parser() -> _Parser:
@@ -194,9 +182,7 @@ def _parser() -> _Parser:
     command("dj", dj_cmd).add_argument(
         "--matrix", metavar="FILE", type=_existing_file, required=True,
         help='JSON file {"blocks": [...], "rows": [[...], ...]}.')
-    command("oracle-iso", oracle_iso_cmd, "FIRST", "SECOND").add_argument(
-        "--bound", metavar="N", type=_bound, default=None,
-        help="Enumerate coefficients in [-N, N] (1 <= N <= 30) instead of solving exactly.")
+    command("oracle-iso", oracle_iso_cmd, "FIRST", "SECOND")
     table = command("table", table_cmd)
     for name in ("--l", "--rho", "--k1", "--k2"):
         table.add_argument(name, metavar="RANGE", type=_range, required=True,

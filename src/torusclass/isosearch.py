@@ -5,34 +5,30 @@ Used as an oracle to cross-validate the closed-form classification logic:
 it decides existence of a degree-preserving ring isomorphism directly from
 the presentations, never from the descriptor arithmetic.
 
-The mode is selected by ``bound``:
+The search is exact: it solves along a line.  The image X of x is fixed
+first: a rational direction root of the nilpotency forms of
+(p x + q w)^(l+1) when w has degree 2, and +-x otherwise.  The image of w
+then runs along a line W0 + tU, with U = X in degree 2 and U = x^d in
+degree 2d, so x^a w^b goes to sum_k C(b, k) t^k X^a U^k W0^(b-k).  The
+relation and every preserved integer class become integer polynomials in
+t alone, whose integer roots are found exactly; preserved mod-2 classes
+keep the roots at which their polynomials are even.  Exhaustion is a
+definite "no isomorphism", so every answer is "found" or "no".
 
-* ``bound=None`` (exact) - solve along a line.  The image X of x is
-  fixed first: a rational direction root of the nilpotency forms of
-  (p x + q w)^(l+1) when w has degree 2, and +-x otherwise.  The image
-  of w then runs along a line W0 + tU, with U = X in degree 2 and
-  U = x^d in degree 2d, so x^a w^b goes to
-  sum_k C(b, k) t^k X^a U^k W0^(b-k).  The relation and every preserved
-  integer class become integer polynomials in t alone, whose integer
-  roots are found exactly; preserved mod-2 classes keep the roots at
-  which their polynomials are even.  Exhaustion here is a definite
-  "no isomorphism".  find_iso, iter_isos and find_iso_per_class (one
-  answer per class) walk one _PairLines per ordered ring pair, whose
-  relation roots and verified witnesses per line serve every class asked
-  about.  find_iso and iter_isos build a fresh one per call;
-  find_iso_per_class keeps the PAIR_LINES_BOUND most recently used, which
-  pays where ring pairs recur (84-86% of compare_report's pairs on a grid,
-  none between distinct large descriptors), and keeps in each the answer
-  to every class pair asked, so a repeated class pair is one lookup (on a
-  grid 48-49% of the p and 84% of the w questions repeat).
-* an integer ``bound >= 1`` (enum) - literal brute force over images with
-  coefficients in [-bound, bound]; exhaustion without a witness is
-  *indeterminate*.
+find_iso and find_iso_per_class (one answer per class) walk one
+_PairLines per ordered ring pair, whose relation roots and verified
+witnesses per line serve every class asked about.  find_iso builds a
+fresh one per call; find_iso_per_class keeps the PAIR_LINES_BOUND most
+recently used, which pays where ring pairs recur (84-86% of
+compare_report's pairs on a grid, none between distinct large
+descriptors), and keeps in each the answer to every class pair asked, so
+a repeated class pair is one lookup (on a grid 48-49% of the p and 84% of
+the w questions repeat).
 
 Every product in the target ring goes through ``TruncatedProducts``.
-Both modes verify every candidate before reporting it (relations map to
-zero and every graded component transforms by a matrix of determinant
-+-1), so a returned witness is always sound.
+Every candidate is verified before it is reported (relations map to zero
+and every graded component transforms by a matrix of determinant +-1),
+so a returned witness is always sound.
 """
 
 from __future__ import annotations
@@ -65,11 +61,11 @@ class IsoWitness:
         return ", ".join(f"{n} -> {img.text()}" for n, img in self.images.items())
 
 
-FOUND, NO_ISO, UNKNOWN = "found", "no", "unknown"
+FOUND, NO_ISO = "found", "no"
 
 
 class IsoSearchResult:
-    """Outcome of find_iso: found / no (definite) / unknown (bound exhausted)."""
+    """Outcome of find_iso: 'found' with a verified witness, or 'no'."""
 
     __slots__ = ("status", "witness")
 
@@ -80,10 +76,6 @@ class IsoSearchResult:
     @property
     def found(self) -> bool:
         return self.status == FOUND
-
-    @property
-    def definite(self) -> bool:
-        return self.status in (FOUND, NO_ISO)
 
 
 # --------------------------------------------------------------------------
@@ -611,12 +603,12 @@ class _PairLines:
             yield self._done[-1]
 
 
-def _exact_candidates(lines: _PairLines, groups, every: bool = False):
-    """(i, witness) per verified witness of the exact solver, in its
-    canonical order, that carries each class of groups[i] to its partner
-    (canonical rings of equal graded ranks).  A line's relation roots and
-    witnesses serve every group; mod-2 classes are lifted to Z once.  A
-    group is dropped after its first witness unless `every`."""
+def _exact_candidates(lines: _PairLines, groups):
+    """(i, witness) for the first verified witness of the exact solver, in
+    its canonical order, that carries each class of groups[i] to its
+    partner (canonical rings of equal graded ranks).  A line's relation
+    roots and witnesses serve every group; mod-2 classes are lifted to Z
+    once."""
     classes = [[(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                  c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in group]
                for group in groups]
@@ -631,38 +623,10 @@ def _exact_candidates(lines: _PairLines, groups, every: bool = False):
                 if witness is not None and all(check_preserves(witness, c1, c2)
                                                for c1, c2 in groups[i]):
                     yield i, witness
-                    if not every:
-                        live.remove(i)
-                        break
+                    live.remove(i)
+                    break
         if not live:
             return
-
-
-# --------------------------------------------------------------------------
-# literal bounded enumeration
-
-
-def _spiral(bound):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
-def _enum_candidates(R1, R2, preserve, bound):
-    """Verified witnesses with coefficients in [-bound, bound], for rings
-    whose second generators have the same degree."""
-    P1, P2 = R1.P, R2.P
-    if P1.w_degree == 2:
-        witnesses = (_matrix_witness(P1, P2, a, c, b, d) for a, b, c, d
-                     in itertools.product(_spiral(bound), repeat=4) if abs(a * d - b * c) == 1)
-    else:
-        witnesses = (_shear_witness(P1, P2, eps1, a, eps2) for eps1, eps2, a
-                     in itertools.product((1, -1), (1, -1), _spiral(bound)))
-    for witness in witnesses:
-        if verify_iso(witness, rings=(R1, R2)) and all(check_preserves(witness, c1, c2)
-                                                       for c1, c2 in preserve):
-            yield witness
 
 
 # --------------------------------------------------------------------------
@@ -678,18 +642,14 @@ def _canonical_pair(P1: RingPresentation, P2: RingPresentation):
     return (R1, R2) if R1.ranks == R2.ranks else None
 
 
-def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
-             bound: int | None = None) -> IsoSearchResult:
-    """Search for a graded ring isomorphism P1 -> P2.
+def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=()) -> IsoSearchResult:
+    """Search exactly for a graded ring isomorphism P1 -> P2.
 
     `preserve` is an optional sequence of (class in P1, class in P2) pairs
     the isomorphism must respect (integer classes directly, mod-2 classes
-    through reduction).  Absence of a witness is a value: status 'no' when
-    the search space was exhausted exactly, 'unknown' when only the window
-    [-bound, bound] was enumerated.  Without `bound` the search is exact.
+    through reduction).  Absence of a witness is a value: status 'no'
+    once every line is exhausted.
     """
-    if bound is not None and bound < 1:
-        raise ValueError("bound must be >= 1")
     rings = _canonical_pair(P1, P2)
     if rings is None:
         return IsoSearchResult(NO_ISO)
@@ -700,13 +660,6 @@ def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=(), *,
                               params={"identity": True})
         if verify_iso(identity, rings=rings):
             return IsoSearchResult(FOUND, identity)
-
-    if bound is not None:
-        if P1.w_degree != P2.w_degree:
-            return IsoSearchResult(NO_ISO)
-        for witness in _enum_candidates(R1, R2, preserve, bound):
-            return IsoSearchResult(FOUND, witness)
-        return IsoSearchResult(UNKNOWN)
 
     for _, witness in _exact_candidates(_PairLines(R1, R2), [preserve]):
         return IsoSearchResult(FOUND, witness)
@@ -757,14 +710,3 @@ def find_iso_per_class(R1: SearchRing, R2: SearchRing, classes) -> list[IsoSearc
     return [IsoSearchResult(NO_ISO) if answers[k] is None else IsoSearchResult(FOUND, answers[k])
             for k in keys]
 
-
-def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
-    """All witnesses produced by the exact solver, in its canonical order.
-
-    On an infinite witness family only line representatives are yielded;
-    existence questions (the oracle's contract) are unaffected.
-    """
-    rings = _canonical_pair(P1, P2)
-    if rings is not None:
-        for _, witness in _exact_candidates(_PairLines(*rings), [preserve], every=True):
-            yield witness

@@ -5,14 +5,18 @@ computes another way: equality of cosets by two normal forms, the
 additive rank by its closed form, a graded component by filtering terms,
 the face-ring block monomials by repeated products, the descriptor
 relations and characteristic-class factors by ``+ * **`` in the free ring,
-and the total characteristic classes by expanding their product formulas
-there.
+the total characteristic classes by expanding their product formulas
+there, and ring isomorphisms by literal enumeration of generator images
+in a window.  ``iter_isos`` lists every witness of the exact solver.
 """
 
+import itertools
 import math
 
+from torusclass import isosearch
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor
+from torusclass.isosearch import SearchRing, check_preserves, verify_iso
 from torusclass.quasitoric import FaceRingPresentation
 from torusclass.quotient import RingPresentation, canonicalize, normal_form
 
@@ -99,3 +103,51 @@ def stiefel_whitney_product(d: ManifoldDescriptor, gens,
     mod-2 product against the reduced integer expansion.
     """
     return math.prod(p ** e for p, e in stiefel_whitney_factors(d, gens, domain))
+
+
+def _spiral(bound):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def enum_isos(P1: RingPresentation, P2: RingPresentation, preserve=(), bound: int = 1):
+    """Verified isomorphisms between the canonical forms of P1 and P2 whose
+    generator images have coefficients in [-bound, bound] and that carry
+    each class pair of `preserve`, by literal enumeration: x -> a x + b w,
+    w -> c x + d w with ad - bc = +-1 when w has degree 2, and
+    x -> eps1 x, w -> eps2 w + a x^d in degree 2d.  Finding nothing proves
+    nothing outside the window."""
+    R1, R2 = SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2))
+    P1, P2 = R1.P, R2.P
+    if R1.ranks != R2.ranks or P1.w_degree != P2.w_degree:
+        return
+    if P1.w_degree == 2:
+        witnesses = (isosearch._matrix_witness(P1, P2, a, c, b, d) for a, b, c, d
+                     in itertools.product(_spiral(bound), repeat=4) if abs(a * d - b * c) == 1)
+    else:
+        witnesses = (isosearch._shear_witness(P1, P2, eps1, a, eps2) for eps1, eps2, a
+                     in itertools.product((1, -1), (1, -1), _spiral(bound)))
+    for witness in witnesses:
+        if verify_iso(witness, rings=(R1, R2)) and all(check_preserves(witness, c1, c2)
+                                                       for c1, c2 in preserve):
+            yield witness
+
+
+def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
+    """Every verified witness of the exact solver that carries each class
+    pair of `preserve`, in its canonical order: each root of each line of a
+    fresh ``isosearch._PairLines``, not only the first.  On an infinite
+    witness family only line representatives are yielded."""
+    rings = isosearch._canonical_pair(P1, P2)
+    if rings is None:
+        return
+    classes = [(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
+                c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in preserve]
+    for solve, make, _ in isosearch._PairLines(*rings):
+        for t in solve(classes):
+            witness = make(t)
+            if verify_iso(witness, rings=rings) and all(check_preserves(witness, c1, c2)
+                                                        for c1, c2 in preserve):
+                yield witness

@@ -374,7 +374,7 @@ def test_characteristic_class_rigidity_biconditional():
     # exists iff the manifolds are diffeomorphic; for l = 1 the same holds
     # with the Stiefel-Whitney class. Both directions, swept over a grid.
     from torusclass.invariants import cohomology, pontrjagin, stiefel_whitney
-    from torusclass.isosearch import find_iso
+    from torusclass.isosearch import FOUND, NO_ISO, find_iso
 
     grid = [d for d in grid_descriptors(4, 4, 3, families="B")
             if d.k1 + d.k2 >= 2]
@@ -390,5 +390,5 @@ def test_characteristic_class_rigidity_biconditional():
                 res = find_iso(P1, P2,
                                preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))])
             diffeo = diffeomorphic(d1, d2).outcome == DIFFEOMORPHIC
-            assert res.definite
+            assert res.status in (FOUND, NO_ISO)
             assert res.found == diffeo, (d1, d2, res.status, diffeo)

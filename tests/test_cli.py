@@ -145,39 +145,10 @@ def test_oracle_iso_found(capsys):
     assert payload["witness"]
 
 
-def test_oracle_iso_enum_mode_and_bound(capsys):
-    # bound 1 cannot reach the half-twist coefficient a = 5; bound 5 can
-    argv = ["oracle-iso", "B(3,1,2,0)", "B(3,3,2,0)", "--bound"]
-    code, out = run(capsys, *argv, "1")
-    assert code == 0
-    payload = json.loads(out)
-    validate(payload, "oracle_report")
-    assert (payload["mode"], payload["bound"], payload["status"]) == ("enum", 1, "unknown")
-    code, out = run(capsys, *argv, "5")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["mode"], payload["bound"], payload["status"]) == ("enum", 5, "found")
-
-
 def test_oracle_iso_has_no_mode_option(capsys):
     code = main(["oracle-iso", "B(3,2,1,3)", "B(3,1,4,0)", "--mode", "exact"])
     assert code == 1
     assert capsys.readouterr().out == ""
-
-
-def test_oracle_iso_rejects_bound_below_one(capsys):
-    code = main(["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"])
-    assert code == 1
-    assert "--bound" in capsys.readouterr().err
-
-
-def test_oracle_iso_rejects_bound_above_thirty(capsys):
-    # the degree-2 enumeration runs (2N+1)^4 tuples; N = 30 takes seconds
-    code = main(["oracle-iso", "A(3,2,2,2)", "A(3,3,2,2)", "--bound", "31"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--bound" in captured.err
 
 
 def test_compare_reads_no_bound_from_the_environment(capsys, monkeypatch):
@@ -303,13 +274,8 @@ CONTRACT = [
     (["table", "--l", "3..1", *_GRID[2:]], 1, True, ["--l", "empty range '3..1'"]),
     (["table", *_GRID[:2], "--rho", *_GRID[4:]], 1, True,
      ["--rho", "cannot parse range '--k1'"]),
-    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"], 1, True,
-     ["--bound", "1<=x<=30"]),
-    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "31"], 1, True,
-     ["--bound", "1<=x<=30"]),
-    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "abc"], 1, True,
-     ["--bound", "'abc'"]),
-    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound"], 1, True, ["--bound"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "5"], 1, True,
+     ["usage: torusclass", "unrecognized arguments: --bound 5"]),
     (["dj"], 1, True, ["--matrix"]),
     (["dj", "--matrix", "no/such/matrix.json"], 1, True,
      ["--matrix", "'no/such/matrix.json' does not exist"]),
@@ -352,8 +318,7 @@ ONE_LINE_HELP = {
     "compare": "Pairwise report: ring isomorphism, class preservation, verdict.",
     "rigidity": "Rigidity stratum of a descriptor, with the matching clause.",
     "dj": "Cohomology presentation and characteristic classes from facet data.",
-    "oracle-iso": "Exact search (or, with --bound, bounded enumeration) for a graded "
-                  "ring isomorphism.",
+    "oracle-iso": "Exact search for a graded ring isomorphism.",
     "table": "Classification table over a parameter grid, one row per descriptor.",
 }
 

@@ -29,6 +29,33 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level _private functions and classes that no code in the
+    sources refers to outside their own definition."""
+    defined = {}  # name -> module
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = module
+    referenced = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)  # a definition's references to itself
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return [f"{module}: {name}" for name, module in defined.items() if name not in referenced]
+
+
 def test_sources_found():
     assert any(path.name == "isosearch.py" for path in SOURCES)
 
@@ -52,3 +79,8 @@ def test_cli_import_loads_no_heavy_module():
     assert proc.returncode == 0
     # nothing heavy, and no module of the package left to a lazy import
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_every_private_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _unreferenced_private_definitions(trees) == []

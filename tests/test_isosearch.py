@@ -9,16 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_descriptors, rebuilt_identically
+from reference import enum_isos, iter_isos
 from torusclass import isosearch
 from torusclass.classify import ring_key
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (NO_ISO, UNKNOWN, IsoWitness, SearchRing, _egcd,
+from torusclass.isosearch import (FOUND, NO_ISO, IsoWitness, SearchRing, _egcd,
                                   _int_roots, _line_image, _Monomials,
                                   _nilpotent_directions, _rational_roots, _ueval,
                                   check_preserves, find_iso, find_iso_per_class,
-                                  iter_isos, verify_iso)
+                                  verify_iso)
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks, normal_form,
                                  presentation_mod2)
@@ -368,7 +369,7 @@ def test_find_iso_with_mod2_constraint():
     assert same.found
 
 
-# --- soundness / symmetry / mode agreement on a sample grid -------------------------------
+# --- soundness, symmetry and agreement with the enumeration on a sample grid ---------------
 
 SAMPLE = [d for d in grid_descriptors(3, 3, 2) if (d.k1 + d.k2, d.rho) != (1, 0)][::3]
 
@@ -390,6 +391,7 @@ def test_symmetry_of_existence():
 
 
 def test_exact_and_enum_agree_when_both_definite():
+    # the enumeration is definite only when it finds a witness
     pairs = [
         (A(1, 1, 1, 1), A(1, 3, 1, 1)),
         (A(1, 1, 1, 1), A(1, 2, 1, 1)),
@@ -400,25 +402,22 @@ def test_exact_and_enum_agree_when_both_definite():
     ]
     for d1, d2 in pairs:
         exact = find_iso(ring(d1), ring(d2))
-        enum = find_iso(ring(d1), ring(d2), bound=6)
-        assert exact.definite
-        if enum.definite:
-            assert exact.status == enum.status
-        else:
-            assert exact.status == NO_ISO or exact.found
+        assert exact.status in (FOUND, NO_ISO)
+        enum = next(enum_isos(ring(d1), ring(d2), bound=6), None)
+        if enum is not None:
+            assert exact.found, (d1, d2)
+        if exact.status == NO_ISO:
+            assert enum is None, (d1, d2)
 
 
 def test_enum_unknown_on_exhaustion():
-    # bound 1 cannot reach the half-twist coefficient a = 5
-    res = find_iso(ring(B(3, 1, 2, 0)), ring(B(3, 3, 2, 0)), bound=1)
-    assert res.status == UNKNOWN
-
-
-def test_bound_below_one_is_rejected():
-    P = ring(A(1, 1, 1, 1))
-    for bound in (0, -3):
-        with pytest.raises(ValueError, match="bound must be >= 1"):
-            find_iso(P, P, bound=bound)
+    # bound 1 cannot reach the half-twist coefficient a = 5: the window is
+    # exhausted without a witness; bound 5 reaches it
+    P1, P2 = ring(B(3, 1, 2, 0)), ring(B(3, 3, 2, 0))
+    assert find_iso(P1, P2).found
+    assert next(enum_isos(P1, P2, bound=1), None) is None
+    witness = next(enum_isos(P1, P2, bound=5))
+    assert witness.verified and abs(witness.params["a"]) <= 5
 
 
 def test_iter_isos_yields_verified_distinct_witnesses():

@@ -27,9 +27,9 @@ def _count_class_pairs_searched(monkeypatch) -> list:
     handed = []
     real = isosearch._exact_candidates
 
-    def counted(lines, groups, every=False):
+    def counted(lines, groups):
         handed.extend(c for group in groups for c in group)
-        return real(lines, groups, every)
+        return real(lines, groups)
 
     monkeypatch.setattr(isosearch, "_exact_candidates", counted)
     return handed
