@@ -151,6 +151,24 @@ def test_oracle_iso_has_no_mode_option(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oracle_iso_rejects_bound_below_one(capsys):
+    # the enumeration window is gone; --bound is an unknown option
+    code = main(["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --bound 0" in captured.err
+
+
+def test_oracle_iso_rejects_bound_above_thirty(capsys):
+    # the exact search needs no window, so no value of --bound is accepted
+    code = main(["oracle-iso", "A(3,2,2,2)", "A(3,3,2,2)", "--bound", "31"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --bound 31" in captured.err
+
+
 def test_compare_reads_no_bound_from_the_environment(capsys, monkeypatch):
     # A(2,1,1,1) ~ A(2,-1,1,1) is ring-isomorphic, so both oracle searches
     # run; the variable that once set their window is no longer read
@@ -274,6 +292,15 @@ CONTRACT = [
     (["table", "--l", "3..1", *_GRID[2:]], 1, True, ["--l", "empty range '3..1'"]),
     (["table", *_GRID[:2], "--rho", *_GRID[4:]], 1, True,
      ["--rho", "cannot parse range '--k1'"]),
+    # oracle-iso has no --bound option: any value, or none, is a usage error
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "0"], 1, True,
+     ["usage: torusclass", "unrecognized arguments: --bound 0"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "31"], 1, True,
+     ["usage: torusclass", "unrecognized arguments: --bound 31"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "abc"], 1, True,
+     ["usage: torusclass", "unrecognized arguments: --bound abc"]),
+    (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound"], 1, True,
+     ["usage: torusclass", "unrecognized arguments: --bound"]),
     (["oracle-iso", "A(2,1,1,1)", "A(2,-1,1,1)", "--bound", "5"], 1, True,
      ["usage: torusclass", "unrecognized arguments: --bound 5"]),
     (["dj"], 1, True, ["--matrix"]),
