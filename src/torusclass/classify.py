@@ -24,23 +24,18 @@ sweep asks for each key once per pair.
 Every ring-equivalence verdict produced here is cross-validated against
 the independent isosearch oracle in the acceptance suite.
 
-compare_report takes each side's ring, classes and SearchRing (graded
-ranks and monomial basis) from _pair_report, an lru_cache bounded at 512
-descriptors: a pass over the 448 descriptors of a grid pairs each one
-with about a dozen others, and a cached entry holds about 4 KB.
-invariants.report itself is left uncached, since table visits every
-descriptor once and a cache there would only hold memory.  p and w are
-decided by one exact search, find_iso_per_class, whose line systems and
-verified witnesses serve both classes; each boolean is still the
-existence answer of the exact solver for its class alone.  That search
-state is kept for the 64 most recently used ordered ring pairs
-(isosearch.PAIR_LINES_BOUND), keyed by the canonical presentations, so
-descriptors with equal rings share it: in a compare_pairs pass of the
-benchmark 84-86% of the pairs reuse one, and 64 states hold ~0.9 MB.
-Each state also keeps its answer to every class pair asked, by domain
-and terms, so a p or w asked again for the same ring pair is a lookup:
-46-47% of the p and 80-81% of the w questions in such a pass, for about
-0.7 MB more peak memory.
+compare_report keeps all its state in one CompareCache: each side's
+report and SearchRing for the 512 most recently compared descriptors (a
+grid pass pairs each descriptor with about a dozen others; an entry holds
+about 4 KB), and an isosearch.PairSearch for the 64 most recently used
+ordered ring pairs, keyed by their canonical presentations.  p and w are
+decided by one walk of that state (find_iso_per_class), each boolean
+still the exact solver's existence answer for its class alone.
+Descriptors with equal rings share a state, which keeps its answer to
+every class pair asked: in a compare_pairs pass of the benchmark 84-86%
+of the pairs reuse a state and 46-47% of the p and 80-81% of the w
+questions are lookups, for ~1.6 MB of peak memory.  invariants.report
+itself is left uncached: table visits every descriptor once.
 
 Note on the l = 1 projective-bundle case: the twist identity below
 implies equivalence classes mod k1 + k2 (e.g. the degree-2 sphere bundles
@@ -54,7 +49,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from torusclass.invariants import ManifoldDescriptor, dimension, report
-from torusclass.isosearch import SearchRing, find_iso_per_class
+from torusclass.isosearch import PairSearch, SearchRing, find_iso_per_class
 
 
 class InternalConsistencyError(RuntimeError):
@@ -299,12 +294,40 @@ class CompareReport:
         }
 
 
-@lru_cache(maxsize=512)
-def _pair_report(d: ManifoldDescriptor):
-    """report(d) and the SearchRing of its ring, kept for the pairwise
-    path, where a descriptor recurs in many pairs."""
+def _entry(d: ManifoldDescriptor):
     r = report(d)
     return r, SearchRing(r.cohomology)  # canonical as built
+
+
+class CompareCache:
+    """compare_report's kept state (see the module docstring).  entry(d)
+    is d's report and the SearchRing of its ring; `searches` maps ordered
+    pairs of canonical presentations to their PairSearch, least recently
+    used first.  A search state is out of the store while in use, so a
+    search that raises leaves nothing behind."""
+
+    DESCRIPTORS = 512
+    RING_PAIRS = 64
+
+    def __init__(self):
+        self.entry = lru_cache(maxsize=self.DESCRIPTORS)(_entry)
+        self.searches = {}
+
+    def classes_preserved(self, d: ManifoldDescriptor, dp: ManifoldDescriptor) -> list[bool]:
+        """Whether a ring isomorphism carries the Pontrjagin class, and
+        whether one carries the Stiefel-Whitney class, of d to that of dp."""
+        (r1, s1), (r2, s2) = self.entry(d), self.entry(dp)
+        key = s1.P, s2.P
+        search = self.searches.pop(key, None) or PairSearch(s1, s2)
+        results = find_iso_per_class(search, [(r1.pontrjagin, r2.pontrjagin),
+                                              (r1.stiefel_whitney, r2.stiefel_whitney)])
+        self.searches[key] = search
+        if len(self.searches) > self.RING_PAIRS:
+            del self.searches[next(iter(self.searches))]
+        return [r.found for r in results]
+
+
+_CACHE = CompareCache()
 
 
 def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareReport:
@@ -313,10 +336,7 @@ def compare_report(d: ManifoldDescriptor, dp: ManifoldDescriptor) -> CompareRepo
     ring_iso = cohomology_isomorphic(d, dp)
     verdict = diffeomorphic(d, dp)
     if ring_iso:
-        (r1, s1), (r2, s2) = _pair_report(d), _pair_report(dp)
-        p_res, w_res = find_iso_per_class(s1, s2, [(r1.pontrjagin, r2.pontrjagin),
-                                                   (r1.stiefel_whitney, r2.stiefel_whitney)])
-        p_pres, w_pres = p_res.found, w_res.found
+        p_pres, w_pres = _CACHE.classes_preserved(d, dp)
     else:
         p_pres = w_pres = False
     if verdict.diffeomorphic and not (ring_iso and p_pres and w_pres):

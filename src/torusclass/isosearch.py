@@ -15,15 +15,12 @@ t alone, whose integer roots are found exactly; preserved mod-2 classes
 keep the roots at which their polynomials are even.  Exhaustion is a
 definite "no isomorphism", so every answer is "found" or "no".
 
-find_iso and find_iso_per_class (one answer per class) walk one
-_PairLines per ordered ring pair, whose relation roots and verified
-witnesses per line serve every class asked about.  find_iso builds a
-fresh one per call; find_iso_per_class keeps the PAIR_LINES_BOUND most
-recently used, which pays where ring pairs recur (84-86% of
-compare_report's pairs on a grid, none between distinct large
-descriptors), and keeps in each the answer to every class pair asked, so
-a repeated class pair is one lookup (on a grid 48-49% of the p and 84% of
-the w questions repeat).
+Both searches walk a PairSearch, the solver's state for one ordered ring
+pair: its lines, relation roots, verified witnesses with their image
+tables, and answers per class pair.  find_iso builds a fresh one per
+call; find_iso_per_class answers from the one it is handed, which a
+caller may keep (classify.compare_report does).  No state lives in this
+module, and a witness carries nothing but its generator images.
 
 Every product in the target ring goes through ``TruncatedProducts``.
 Every candidate is verified before it is reported (relations map to zero
@@ -40,13 +37,13 @@ from functools import cached_property
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
                                  canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form)
+                                 monomial_basis, normal_form, presentation_mod2)
 
 
 class IsoWitness:
     """Generator images of a graded ring homomorphism source -> target."""
 
-    __slots__ = ("source", "target", "images", "params", "verified", "table")
+    __slots__ = ("source", "target", "images", "params")
 
     def __init__(self, source: RingPresentation, target: RingPresentation,
                  images: dict[str, GradedPoly], params: dict | None = None):
@@ -54,8 +51,6 @@ class IsoWitness:
         self.target = target
         self.images = images
         self.params = {} if params is None else params
-        self.verified = False
-        self.table = None  # verify_iso's _Monomials of the images, see check_preserves
 
     def text(self) -> str:
         return ", ".join(f"{n} -> {img.text()}" for n, img in self.images.items())
@@ -380,8 +375,8 @@ def _line_solver(P1, line):
 
 class SearchRing:
     """A presentation with its graded ranks and, from first use, its
-    monomial basis and product core.  compare_report keeps one per
-    descriptor; find_iso builds two per call."""
+    monomial basis and product core.  classify.compare_report keeps one
+    per recent descriptor; find_iso builds two per call."""
 
     def __init__(self, P: RingPresentation):
         self.P, self.ranks = P, graded_ranks(P)
@@ -396,35 +391,35 @@ class SearchRing:
 
 
 def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
-               P2: RingPresentation | None = None, *, rings=None) -> bool:
+               P2: RingPresentation | None = None, *, rings=None) -> _Monomials | None:
     """Soundness check: relations map to zero and every graded component
     transforms by an integer matrix of determinant +-1.  `rings` are the
-    SearchRings of P1 and P2.  Accepted on its own source and target, the
-    witness keeps its table of monomial images for check_preserves."""
+    SearchRings of P1 and P2.  Returns the table of monomial images in P2
+    (truthy) when the check passes, None when it fails; the witness is
+    left as it is."""
     R1, R2 = rings or (SearchRing(P1 if P1 is not None else witness.source),
                        SearchRing(P2 if P2 is not None else witness.target))
     P1, P2 = R1.P, R2.P
-    witness.table = None
     images = witness.images
     for name, deg in P1.gens:
         img = images.get(name)
         if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
-            return False
+            return None
 
     mono = _Monomials(R2.core, images[P1.x_name], images[P1.w_name])
     ell1 = P1.ell
     if not mono.nf(ell1 + 1, 0).is_zero():
-        return False
+        return None
     # x^(l1+1) maps to zero, so relation terms beyond it do too
     rel_image = P2.zero()
     for (a, b), c in P1.relation.terms.items():
         if a <= ell1:
             rel_image = rel_image + mono.nf(a, b) * c
     if not rel_image.is_zero():
-        return False
+        return None
 
     if R1.ranks != R2.ranks:
-        return False
+        return None
     index2 = {e: i for i, e in enumerate(R2.basis)}
     cols_by_degree: dict[int, list[int]] = {}
     for i, (a, b) in enumerate(R2.basis):
@@ -439,42 +434,34 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
     for deg, rows in by_degree.items():
         cols = cols_by_degree.get(deg, [])
         if len(cols) != len(rows):
-            return False
+            return None
         mat = [[row[i] for i in cols] for row in rows]
         if _det(mat) not in (1, -1):
-            return False
-    witness.verified = True
-    if P1 == witness.source and P2 == witness.target:
-        witness.table = mono
-    return True
+            return None
+    return mono
 
 
-def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement) -> bool:
+def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement,
+                    table: _Monomials | None = None) -> bool:
     """True iff the witness carries the class c1 to c2.
 
     Integer classes are pushed through the witness directly; mod-2 classes
-    through its mod-2 reduction.  A class of the witness's target (or of
-    its mod-2 reduction: same shape, relation terms reduced mod 2) is read
-    from the table verify_iso left, mod-2 images by reducing coefficients;
-    any other goes through evaluate_hom.
+    through its mod-2 reduction.  `table` is what verify_iso returned for
+    this witness: given it, the caller vouches that c2 lives in the
+    witness's target or in its mod-2 reduction, and c1's image is read
+    from the table (mod-2 images by reducing coefficients).  Without it
+    the images go through evaluate_hom into c2's presentation.
     """
     if c1.poly.domain is not c2.poly.domain:
         raise ValueError("classes live in different coefficient domains")
-    mod2 = c1.poly.domain is Domain.MOD2
-    table, target, Q = witness.table, witness.target, c2.presentation
-    if mod2:
-        home = (Q.domain is Domain.MOD2 and Q.gens == target.gens and Q.ell == target.ell
-                and Q.relation.terms == {e: 1 for e, c in target.relation.terms.items() if c % 2})
-    else:
-        home = Q == target
-    if table is not None and home and c1.poly.gens == witness.source.gens:
+    if table is not None:
         image: dict[tuple[int, int], int] = {}
         for (a, b), c in c1.poly.terms.items():
             for key, v in table.nf(a, b).terms.items():
                 image[key] = image.get(key, 0) + c * v
         return c2.poly._clean(image).terms == c2.poly.terms
     images = witness.images
-    if mod2:
+    if c1.poly.domain is Domain.MOD2:
         images = {n: GradedPoly(c2.presentation.gens, img.terms, Domain.MOD2)
                   for n, img in images.items()}
     return evaluate_hom(images, c1.poly, c2.presentation) == c2
@@ -581,17 +568,18 @@ def _lines(R1: SearchRing, R2: SearchRing):
                                                                      b, d + t * b))
 
 
-class _PairLines:
+class PairSearch:
     """The exact solver's state for an ordered pair of SearchRings: the
-    lines of _lines(R1, R2), materialised as they are consumed, each with
-    its solve (see _line_solver), its make(t) and its verified witnesses by
-    t (None where verify_iso rejects).  `answers` is filled by
-    find_iso_per_class: class pair key (see _answer_key) -> the first
-    witness that preserves it, or None when none does."""
+    lines of _lines(R1, R2) (none when the graded ranks differ),
+    materialised as they are consumed, each with its solve (see
+    _line_solver), its make(t) and, by t, the witness with the table
+    verify_iso returned for it (None where it rejects).  `answers` is
+    filled by find_iso_per_class: class pair key (see _answer_key) -> the
+    first witness that preserves it, or None when none does."""
 
     def __init__(self, R1: SearchRing, R2: SearchRing):
         self.rings = R1, R2
-        self._pending = _lines(R1, R2)
+        self._pending = _lines(R1, R2) if R1.ranks == R2.ranks else iter(())
         self._done = []
         self.answers = {}
 
@@ -603,25 +591,25 @@ class _PairLines:
             yield self._done[-1]
 
 
-def _exact_candidates(lines: _PairLines, groups):
+def _exact_candidates(search: PairSearch, groups):
     """(i, witness) for the first verified witness of the exact solver, in
     its canonical order, that carries each class of groups[i] to its
-    partner (canonical rings of equal graded ranks).  A line's relation
-    roots and witnesses serve every group; mod-2 classes are lifted to Z
-    once."""
+    partner (canonical rings of equal graded ranks, each class in its
+    side's presentation or that presentation's mod-2 reduction).  A line's
+    relation roots and witnesses serve every group; mod-2 classes are
+    lifted to Z once."""
     classes = [[(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                  c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in group]
                for group in groups]
     live = list(range(len(groups)))
-    for solve, make, verified in lines:
+    for solve, make, verified in search:
         for i in live[:]:
             for t in solve(classes[i]):
                 if t not in verified:
                     witness = make(t)
-                    verified[t] = witness if verify_iso(witness, rings=lines.rings) else None
-                witness = verified[t]
-                if witness is not None and all(check_preserves(witness, c1, c2)
-                                               for c1, c2 in groups[i]):
+                    verified[t] = witness, verify_iso(witness, rings=search.rings)
+                witness, table = verified[t]
+                if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in groups[i]):
                     yield i, witness
                     live.remove(i)
                     break
@@ -647,9 +635,15 @@ def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=()) -> IsoSear
 
     `preserve` is an optional sequence of (class in P1, class in P2) pairs
     the isomorphism must respect (integer classes directly, mod-2 classes
-    through reduction).  Absence of a witness is a value: status 'no'
-    once every line is exhausted.
+    through reduction).  A class whose presentation, once canonicalized,
+    is neither its side's canonical presentation nor that one's mod-2
+    reduction raises ValueError.  Absence of a witness is a value: status
+    'no' once every line is exhausted.
     """
+    for pair in preserve:
+        for c, P in zip(pair, map(canonicalize, (P1, P2))):
+            if canonicalize(c.presentation) not in (P, presentation_mod2(P)):
+                raise ValueError(f"class {c} lives neither in {P} nor in its mod-2 reduction")
     rings = _canonical_pair(P1, P2)
     if rings is None:
         return IsoSearchResult(NO_ISO)
@@ -661,14 +655,9 @@ def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=()) -> IsoSear
         if verify_iso(identity, rings=rings):
             return IsoSearchResult(FOUND, identity)
 
-    for _, witness in _exact_candidates(_PairLines(R1, R2), [preserve]):
+    for _, witness in _exact_candidates(PairSearch(R1, R2), [preserve]):
         return IsoSearchResult(FOUND, witness)
     return IsoSearchResult(NO_ISO)
-
-
-# ordered pair of canonical presentations -> its _PairLines, least recently used first
-_PAIR_LINES: dict = {}
-PAIR_LINES_BOUND = 64
 
 
 def _answer_key(c1: NormalElement, c2: NormalElement) -> tuple:
@@ -677,36 +666,20 @@ def _answer_key(c1: NormalElement, c2: NormalElement) -> tuple:
             tuple(sorted(c2.poly.terms.items())))
 
 
-def find_iso_per_class(R1: SearchRing, R2: SearchRing, classes) -> list[IsoSearchResult]:
+def find_iso_per_class(search: PairSearch, classes) -> list[IsoSearchResult]:
     """What find_iso(R1.P, R2.P, [c]) returns for each class pair c, from
-    one exact search; R1, R2 hold canonical integer presentations, and each
-    class lives in its side's presentation or in that presentation's mod-2
-    reduction.
-
-    The search state of the ordered ring pair (its lines, relation roots,
-    verified witnesses and the answer to every class pair asked so far) is
-    kept for the PAIR_LINES_BOUND most recently used pairs, so a ring pair
-    that recurs is solved once and a class pair asked again costs one
-    lookup.  Under the contract above an answer depends only on the two
-    presentations and on the class pair's domain and terms, which is what
-    the state and its answers are keyed by.  Returned witnesses are shared
-    between calls.
-    """
-    if R1.ranks != R2.ranks:
-        return [IsoSearchResult(NO_ISO) for _ in classes]
-    key = R1.P, R2.P
-    # taken out while in use: a search that raises leaves no state behind
-    lines = _PAIR_LINES.pop(key, None) or _PairLines(R1, R2)
-    answers = lines.answers
+    one walk of the lines of `search`, whose rings R1, R2 hold canonical
+    integer presentations; each class lives in its side's presentation or
+    that one's mod-2 reduction.  The answers are kept in `search` by the
+    class pair's domain and terms, on which alone they then depend, once
+    the walk has finished: a class pair asked again costs one lookup, and
+    a walk that raises records nothing.  Witnesses are shared."""
+    answers = search.answers
     keys = [_answer_key(c1, c2) for c1, c2 in classes]
     unseen = {k: c for k, c in zip(keys, classes) if k not in answers}
     if unseen:
-        found = dict(_exact_candidates(lines, [[c] for c in unseen.values()]))
-        for i, k in enumerate(unseen):  # only once the walk has finished
+        found = dict(_exact_candidates(search, [[c] for c in unseen.values()]))
+        for i, k in enumerate(unseen):
             answers[k] = found.get(i)
-    _PAIR_LINES[key] = lines
-    if len(_PAIR_LINES) > PAIR_LINES_BOUND:
-        del _PAIR_LINES[next(iter(_PAIR_LINES))]
     return [IsoSearchResult(NO_ISO) if answers[k] is None else IsoSearchResult(FOUND, answers[k])
             for k in keys]
-

@@ -20,7 +20,7 @@ from torusclass.intpoly import Domain, GradedPoly
 class RingPresentation:
     """Presentation of Z[x,w]/<x^(ell+1), relation> with relation monic in w."""
 
-    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain", "w_exponent")
+    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain", "w_exponent", "_hash")
 
     def __init__(self, x_name: str, w_name: str, w_degree: int, ell: int,
                  relation: GradedPoly, domain: Domain = Domain.INT):
@@ -39,6 +39,7 @@ class RingPresentation:
         self.ell = ell
         self.relation = relation
         self.domain = domain
+        self._hash = None
         # degree D of the relation as a polynomial in w
         self.w_exponent = D = max((e[1] for e in relation.terms), default=0)
         if D < 1:
@@ -80,8 +81,10 @@ class RingPresentation:
                 and self.domain is other.domain and self.relation == other.relation)
 
     def __hash__(self) -> int:
-        return hash((self.x_name, self.w_name, self.w_degree, self.ell, self.domain,
-                     frozenset(self.relation.terms.items())))
+        if self._hash is None:  # computed once: a kept search state is keyed by presentations
+            self._hash = hash((self.x_name, self.w_name, self.w_degree, self.ell, self.domain,
+                               frozenset(self.relation.terms.items())))
+        return self._hash
 
     def __str__(self) -> str:
         coeff = "Z" if self.domain is Domain.INT else "F2"

@@ -35,9 +35,8 @@ def grid_descriptors(l_max, sum_max, rho_max, families="AB"):
 @functools.cache
 def compare_reports_from_fresh_state() -> dict:
     """compare_report of every ring-isomorphic GRID4 pair and two large
-    ones, by pair, each with the kept search state of ring pairs cleared
-    first."""
-    import torusclass.isosearch as isosearch
+    ones, by pair, each from a fresh CompareCache."""
+    import torusclass.classify as classify
     from torusclass.classify import cohomology_isomorphic, compare_report
     from torusclass.invariants import ManifoldDescriptor
 
@@ -46,10 +45,13 @@ def compare_reports_from_fresh_state() -> dict:
     assert len(pairs) == 2710
     pairs += [(ManifoldDescriptor("A", 3, 5, 30, 30), ManifoldDescriptor("A", 3, -5, 30, 30)),
               (ManifoldDescriptor("B", 3, 5, 40, 20), ManifoldDescriptor("B", 3, -5, 40, 20))]
-    reports = {}
-    for d1, d2 in pairs:
-        isosearch._PAIR_LINES.clear()
-        reports[(d1, d2)] = compare_report(d1, d2).to_json()
+    reports, kept = {}, classify._CACHE
+    try:
+        for d1, d2 in pairs:
+            classify._CACHE = classify.CompareCache()
+            reports[(d1, d2)] = compare_report(d1, d2).to_json()
+    finally:
+        classify._CACHE = kept
     return reports
 
 

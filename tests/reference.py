@@ -118,7 +118,8 @@ def enum_isos(P1: RingPresentation, P2: RingPresentation, preserve=(), bound: in
     each class pair of `preserve`, by literal enumeration: x -> a x + b w,
     w -> c x + d w with ad - bc = +-1 when w has degree 2, and
     x -> eps1 x, w -> eps2 w + a x^d in degree 2d.  Finding nothing proves
-    nothing outside the window."""
+    nothing outside the window.  As for iter_isos, each class lives in its
+    side's canonical form or that form's mod-2 reduction."""
     R1, R2 = SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2))
     P1, P2 = R1.P, R2.P
     if R1.ranks != R2.ranks or P1.w_degree != P2.w_degree:
@@ -130,24 +131,26 @@ def enum_isos(P1: RingPresentation, P2: RingPresentation, preserve=(), bound: in
         witnesses = (isosearch._shear_witness(P1, P2, eps1, a, eps2) for eps1, eps2, a
                      in itertools.product((1, -1), (1, -1), _spiral(bound)))
     for witness in witnesses:
-        if verify_iso(witness, rings=(R1, R2)) and all(check_preserves(witness, c1, c2)
-                                                       for c1, c2 in preserve):
+        table = verify_iso(witness, rings=(R1, R2))
+        if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in preserve):
             yield witness
 
 
 def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     """Every verified witness of the exact solver that carries each class
     pair of `preserve`, in its canonical order: each root of each line of a
-    fresh ``isosearch._PairLines``, not only the first.  On an infinite
-    witness family only line representatives are yielded."""
+    fresh ``isosearch.PairSearch``, not only the first.  On an infinite
+    witness family only line representatives are yielded.  Each class lives
+    in its side's canonical form or that form's mod-2 reduction, so its
+    image is read from the witness's table."""
     rings = isosearch._canonical_pair(P1, P2)
     if rings is None:
         return
     classes = [(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                 c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in preserve]
-    for solve, make, _ in isosearch._PairLines(*rings):
+    for solve, make, _ in isosearch.PairSearch(*rings):
         for t in solve(classes):
             witness = make(t)
-            if verify_iso(witness, rings=rings) and all(check_preserves(witness, c1, c2)
-                                                        for c1, c2 in preserve):
+            table = verify_iso(witness, rings=rings)
+            if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in preserve):
                 yield witness

@@ -229,13 +229,13 @@ def test_kept_search_state_changes_no_report(monkeypatch):
     random.Random(18).shuffle(pairs)
     made = []
 
-    class Counted(isosearch._PairLines):
+    class Counted(isosearch.PairSearch):
         def __init__(self, *rings):
             made.append(rings)
             super().__init__(*rings)
 
-    monkeypatch.setattr(isosearch, "_PairLines", Counted)
-    isosearch._PAIR_LINES.clear()
+    monkeypatch.setattr(classify, "PairSearch", Counted)
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
     for d1, d2 in pairs:
         assert compare_report(d1, d2).to_json() == expected[(d1, d2)], (d1, d2)
     assert len(made) < len(pairs) // 4  # most pairs reuse a kept state
@@ -243,11 +243,11 @@ def test_kept_search_state_changes_no_report(monkeypatch):
 
 def test_evicted_search_state_changes_no_report(monkeypatch):
     expected = compare_reports_from_fresh_state()
-    monkeypatch.setattr(isosearch, "PAIR_LINES_BOUND", 2)
-    isosearch._PAIR_LINES.clear()
+    monkeypatch.setattr(classify.CompareCache, "RING_PAIRS", 2)
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
     for d1, d2 in random.Random(19).sample(list(expected), 400):
         assert compare_report(d1, d2).to_json() == expected[(d1, d2)], (d1, d2)
-        assert len(isosearch._PAIR_LINES) <= 2
+        assert len(classify._CACHE.searches) <= 2
 
 
 def test_one_search_answers_like_two_separate_ones():
@@ -291,7 +291,7 @@ def _count_cohomology(monkeypatch) -> list:
 
 def test_one_ring_per_descriptor(monkeypatch):
     d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
-    classify._pair_report.cache_clear()
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
     expected = invariants.report(d1)
     calls = _count_cohomology(monkeypatch)
     rep = invariants.report(d1)

@@ -69,12 +69,13 @@ def test_compare_oracle_disagreement_exit_code(capsys, monkeypatch):
     # p-preserving class (0) or for the w-preserving one (1) is a
     # consistency failure
     real = classify.find_iso_per_class
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
     for failing in (0, 1):
         calls = []
 
-        def find_iso_per_class(R1, R2, classes):
+        def find_iso_per_class(search, classes):
             calls.append(classes)
-            results = real(R1, R2, classes)
+            results = real(search, classes)
             assert results[failing].found
             results[failing] = IsoSearchResult(NO_ISO)
             return results

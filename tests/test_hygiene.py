@@ -56,6 +56,27 @@ def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]
     return [f"{module}: {name}" for name, module in defined.items() if name not in referenced]
 
 
+def _module_level_empty_containers(tree: ast.Module) -> list[str]:
+    """Module-level names bound to an empty {}, [], dict(), set() or list():
+    state kept between calls, where the program means to keep none."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.List) and not value.elts)
+                 or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                     and value.func.id in ("dict", "set", "list")
+                     and not value.args and not value.keywords))
+        if empty:
+            found += [f"{ast.unparse(t)} (line {node.lineno})" for t in targets]
+    return found
+
+
 def test_sources_found():
     assert any(path.name == "isosearch.py" for path in SOURCES)
 
@@ -84,3 +105,9 @@ def test_cli_import_loads_no_heavy_module():
 def test_every_private_definition_is_used():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert _unreferenced_private_definitions(trees) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_empty_container(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _module_level_empty_containers(tree) == []

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import grid_descriptors, rebuilt_identically
 from reference import enum_isos, iter_isos
-from torusclass import isosearch
-from torusclass.classify import ring_key
-from torusclass.intpoly import GradedPoly
+from torusclass import classify, isosearch
+from torusclass.classify import compare_report, ring_key
+from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import (ManifoldDescriptor, cohomology, pontrjagin,
                                    stiefel_whitney)
-from torusclass.isosearch import (FOUND, NO_ISO, IsoWitness, SearchRing, _egcd,
-                                  _int_roots, _line_image, _Monomials,
+from torusclass.isosearch import (FOUND, NO_ISO, IsoWitness, PairSearch, SearchRing,
+                                  _egcd, _int_roots, _line_image, _Monomials,
                                   _nilpotent_directions, _rational_roots, _ueval,
                                   check_preserves, find_iso, find_iso_per_class,
                                   verify_iso)
@@ -39,7 +39,7 @@ def test_identity_on_equal_presentations():
     res = find_iso(P, P)
     assert res.found
     assert res.witness.params.get("identity")
-    assert res.witness.verified
+    assert verify_iso(res.witness)
 
 
 def test_equal_after_canonicalization():
@@ -65,7 +65,7 @@ def test_univariate_presentations_isomorphic():
     P1 = RingPresentation("x", "w", 4, 3, GradedPoly(gens, {(0, 1): 1, (2, 0): 2}))
     P2 = RingPresentation("x", "w", 4, 3, GradedPoly(gens, {(0, 1): 1, (2, 0): -5}))
     res = find_iso(P1, P2)
-    assert res.found and res.witness.verified
+    assert res.found and verify_iso(res.witness)
     assert res.witness.images["w"] == GradedPoly(gens, {(2, 0): -2})
 
 
@@ -204,9 +204,9 @@ def _count_evaluate_hom(monkeypatch) -> list:
 
 
 def test_image_table_agrees_with_evaluate_hom(monkeypatch):
-    # the witnesses of the ring-isomorphic GRID4 pairs carry verify_iso's
-    # table; p (integer) and w (mod 2) read from it must match the same
-    # images pushed through evaluate_hom
+    # the table verify_iso returns for the witnesses of the ring-isomorphic
+    # GRID4 pairs: p (integer) and w (mod 2) read from it must match the
+    # same images pushed through evaluate_hom
     by_ring = {}
     for d in grid_descriptors(4, 4, 3):
         by_ring.setdefault(ring_key(d), []).append(d)
@@ -216,14 +216,14 @@ def test_image_table_agrees_with_evaluate_hom(monkeypatch):
     seen = set()
     for d1, d2 in pairs[::4]:
         witness = find_iso(ring(d1), ring(d2)).witness
-        assert witness.table is not None
-        plain = IsoWitness(witness.source, witness.target, witness.images)
+        table = verify_iso(witness)
+        assert table is not None
         for cls in (pontrjagin, stiefel_whitney):
             c1, c2 = (classes.setdefault((cls, d), cls(d)) for d in (d1, d2))
             calls.clear()
-            from_table = check_preserves(witness, c1, c2)
+            from_table = check_preserves(witness, c1, c2, table)
             assert not calls
-            assert check_preserves(plain, c1, c2) == from_table and calls, (d1, d2, cls)
+            assert check_preserves(witness, c1, c2) == from_table and calls, (d1, d2, cls)
             seen.add((cls, from_table))
     assert len(seen) == 4
 
@@ -235,43 +235,53 @@ def test_unverified_witness_falls_back_to_evaluate_hom(monkeypatch):
     calls = _count_evaluate_hom(monkeypatch)
     assert check_preserves(w, pontrjagin(d), pontrjagin(d))
     assert check_preserves(w, stiefel_whitney(d), stiefel_whitney(d))
-    assert len(calls) == 2 and w.table is None
+    assert len(calls) == 2
+
+
+def _slots(witness):
+    return [getattr(witness, name) for name in IsoWitness.__slots__]
 
 
 def test_verify_on_other_presentations_leaves_no_table(monkeypatch):
+    # verify_iso writes nothing: every slot of the witness stays the same
+    # object, whatever presentations it is checked on and whatever the outcome
     d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
     P1, P2 = ring(d1), ring(d2)
     witness = find_iso(P1, P2).witness
-    assert witness.table is not None
+    before = _slots(witness)
     # the ring of d1 with a relation term past x^(l+1): the witness still
     # verifies there, but on presentations that are not its own
     x = P1.x()
     raw = RingPresentation("x", "y", 2, 2, P1.relation + x * x * x)
     assert raw != P1 and canonicalize(raw) == P1
     assert verify_iso(witness, raw, P2)
-    assert witness.table is None
-    assert verify_iso(witness) and witness.table is not None
-    assert not verify_iso(witness, P1, ring(A(2, 3, 1, 2)))
-    assert witness.table is None
+    table = verify_iso(witness)
+    assert table is not None
+    assert verify_iso(witness, P1, ring(A(2, 3, 1, 2))) is None
+    assert all(now is then for now, then in zip(_slots(witness), before))
     calls = _count_evaluate_hom(monkeypatch)
     assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2))
     assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2))
+    assert len(calls) == 2
+    assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2), table)
+    assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2), table)
     assert len(calls) == 2
 
 
 def test_mod2_class_of_another_ring_of_the_same_shape_falls_back(monkeypatch):
     # P2 = Z[x,y]/<x^2, y^2> and Q = F2[x,y]/<x^2, y^2 + x*y> share their
     # shape, not their reduction: x*y goes to y(y - x), which is x*y in P2
-    # mod 2 but 0 in Q, so reading an element of Q from the table is wrong
+    # mod 2 but 0 in Q, so an element of Q is checked without the table
     P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
     witness = find_iso(P1, P2).witness
-    assert witness.text() == "x -> y, y -> y - x" and witness.table is not None
+    assert witness.text() == "x -> y, y -> y - x"
+    table = verify_iso(witness)
     Q1, Q2, Q = map(presentation_mod2, (P1, P2, ring(A(1, 1, 1, 1))))
     assert Q.gens == Q2.gens and Q.ell == Q2.ell and Q != Q2
     xy = {(1, 1): 1}
     c1 = NormalElement(Q1, Q1.poly(xy))
     calls = _count_evaluate_hom(monkeypatch)
-    assert check_preserves(witness, c1, NormalElement(Q2, Q2.poly(xy)))
+    assert check_preserves(witness, c1, NormalElement(Q2, Q2.poly(xy)), table)
     assert not calls  # P2's own reduction, built anew, is read from the table
     assert not check_preserves(witness, c1, NormalElement(Q, Q.poly(xy)))
     assert check_preserves(witness, c1, NormalElement(Q, Q.zero()))
@@ -302,48 +312,49 @@ def test_witness_images_rebuild_identically():
 
 # --- the search state kept per ordered ring pair ------------------------------------------
 
-def _pair_lines_snapshot():
-    return [(key, lines, len(lines._done)) for key, lines in isosearch._PAIR_LINES.items()]
+def _kept_snapshot():
+    return [(key, search, len(search._done), dict(search.answers))
+            for key, search in classify._CACHE.searches.items()]
 
 
-def test_find_iso_and_iter_isos_leave_the_pair_lines_untouched():
+def test_find_iso_and_iter_isos_leave_the_pair_lines_untouched(monkeypatch):
     d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
     P1, P2 = ring(d1), ring(d2)
     p = (pontrjagin(d1), pontrjagin(d2))
-    isosearch._PAIR_LINES.clear()
-    find_iso_per_class(SearchRing(P1), SearchRing(P2), [p])
-    before = _pair_lines_snapshot()
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
+    compare_report(d1, d2)
+    before = _kept_snapshot()
     assert len(before) == 1
     for preserve in ((), [p], [(stiefel_whitney(d1), stiefel_whitney(d2))]):
         find_iso(P1, P2, preserve)
         list(iter_isos(P1, P2, preserve))
         find_iso(P2, P1, preserve[::-1] and [preserve[0][::-1]])
-    assert _pair_lines_snapshot() == before
+    assert _kept_snapshot() == before
 
 
 def test_cached_witness_verified_elsewhere_gives_the_same_answers():
-    # answers from the kept state must not depend on what a caller did with
-    # a witness it was given: verify_iso on other presentations clears the
-    # witness's table, and check_preserves then falls back to evaluate_hom
+    # answers from a kept state must not depend on what a caller did with a
+    # witness it was given: verify_iso on other presentations writes nothing
     d1, d2 = B(3, 2, 2, 0), B(3, -2, 2, 0)
     P1, P2 = ring(d1), ring(d2)
     classes = [(pontrjagin(d1), pontrjagin(d2)), (stiefel_whitney(d1), stiefel_whitney(d2))]
 
-    def ask():
-        results = find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)
+    def ask(search):
+        results = find_iso_per_class(search, classes)
         return [(r.status, r.witness and r.witness.params) for r in results]
 
-    isosearch._PAIR_LINES.clear()
-    expected = ask()
+    search = PairSearch(SearchRing(P1), SearchRing(P2))
+    expected = ask(search)
     assert [status for status, _ in expected] == ["found", "found"]
-    witness = find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)[0].witness
+    witness = find_iso_per_class(search, classes)[0].witness
+    before = _slots(witness)
     raw = RingPresentation("x", "z", 4, 3, P1.relation + P1.x() ** 4)
     assert raw != P1 and canonicalize(raw) == P1
-    assert verify_iso(witness, raw, P2) and witness.table is None
-    assert ask() == expected
-    assert find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)[0].witness is witness
-    isosearch._PAIR_LINES.clear()
-    assert ask() == expected
+    assert verify_iso(witness, raw, P2)
+    assert all(now is then for now, then in zip(_slots(witness), before))
+    assert ask(search) == expected
+    assert find_iso_per_class(search, classes)[0].witness is witness
+    assert ask(PairSearch(SearchRing(P1), SearchRing(P2))) == expected
 
 
 # --- preserve-constrained search --------------------------------------------------------
@@ -367,6 +378,38 @@ def test_find_iso_with_mod2_constraint():
     same = find_iso(ring(d1), ring(B(1, 3, 1, 1)),
                     preserve=[(stiefel_whitney(d1), stiefel_whitney(B(1, 3, 1, 1)))])
     assert same.found
+
+
+def test_find_iso_rejects_a_class_of_another_ring():
+    # Q shares the shape of P2's reduction, not its relation (see
+    # test_mod2_class_of_another_ring_of_the_same_shape_falls_back)
+    P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
+    Q1, Q = presentation_mod2(P1), presentation_mod2(ring(A(1, 1, 1, 1)))
+    xy = {(1, 1): 1}
+    with pytest.raises(ValueError, match="mod-2 reduction"):
+        find_iso(P1, P2, [(NormalElement(Q1, Q1.poly(xy)), NormalElement(Q, Q.poly(xy)))])
+
+
+def test_classes_of_a_non_canonical_presentation_give_the_same_answers():
+    # each ring also presented with x^(l+1) added to its relation: the
+    # classes' normal forms are the same, and so are the answers
+    seen = set()
+    for d1, d2 in ((B(3, 2, 2, 0), B(3, -2, 2, 0)), (B(3, 1, 2, 0), B(3, 3, 2, 0))):
+        P1, P2 = ring(d1), ring(d2)
+        raws = [RingPresentation("x", "z", 4, 3, P.relation + P.x() ** 4) for P in (P1, P2)]
+        assert [canonicalize(raw) for raw in raws] == [P1, P2] != raws
+        for cls in (pontrjagin, stiefel_whitney):
+            pair = cls(d1), cls(d2)
+            on_raw = tuple(NormalElement(raw if c.poly.domain is Domain.INT
+                                         else presentation_mod2(raw), c.poly)
+                           for raw, c in zip(raws, pair))
+            want = find_iso(P1, P2, [pair])
+            for presentations in ((P1, P2), raws):
+                got = find_iso(*presentations, [on_raw])
+                assert got.status == want.status, (d1, d2, cls)
+                assert (got.witness and got.witness.params) == (want.witness and want.witness.params)
+            seen.add(want.status)
+    assert seen == {FOUND, NO_ISO}
 
 
 # --- soundness, symmetry and agreement with the enumeration on a sample grid ---------------
@@ -417,13 +460,13 @@ def test_enum_unknown_on_exhaustion():
     assert find_iso(P1, P2).found
     assert next(enum_isos(P1, P2, bound=1), None) is None
     witness = next(enum_isos(P1, P2, bound=5))
-    assert witness.verified and abs(witness.params["a"]) <= 5
+    assert verify_iso(witness) and abs(witness.params["a"]) <= 5
 
 
 def test_iter_isos_yields_verified_distinct_witnesses():
     got = list(iter_isos(ring(A(1, 0, 1, 1)), ring(A(1, 0, 1, 1))))
     assert got, "expected at least the identity-type witnesses"
-    assert all(w.verified for w in got)
+    assert all(verify_iso(w) for w in got)
 
 
 def test_iter_isos_rejects_mod2_presentations_like_find_iso():

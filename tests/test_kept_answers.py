@@ -1,17 +1,18 @@
-"""The answers kept per ordered ring pair by find_iso_per_class: a class
-pair asked again is answered from the kept state, and every answer equals
-the one a fresh search gives."""
+"""The answers a PairSearch keeps per class pair, filled by
+find_iso_per_class: a class pair asked again is answered from the kept
+state, and every answer equals the one a fresh search gives."""
 
 import random
 
 import pytest
 
+import torusclass.classify as classify
 import torusclass.isosearch as isosearch
 from conftest import compare_reports_from_fresh_state
 from torusclass.classify import compare_report
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor, cohomology, pontrjagin, stiefel_whitney
-from torusclass.isosearch import SearchRing, find_iso, find_iso_per_class
+from torusclass.isosearch import PairSearch, SearchRing, find_iso, find_iso_per_class
 from torusclass.quotient import normal_form, presentation_mod2
 
 A = lambda *a: ManifoldDescriptor("A", *a)
@@ -27,9 +28,9 @@ def _count_class_pairs_searched(monkeypatch) -> list:
     handed = []
     real = isosearch._exact_candidates
 
-    def counted(lines, groups):
+    def counted(search, groups):
         handed.extend(c for group in groups for c in group)
-        return real(lines, groups)
+        return real(search, groups)
 
     monkeypatch.setattr(isosearch, "_exact_candidates", counted)
     return handed
@@ -42,7 +43,7 @@ def test_repeated_class_pairs_are_not_searched_again(monkeypatch):
     pairs = list(expected)
     random.Random(19).shuffle(pairs)
     handed = _count_class_pairs_searched(monkeypatch)
-    isosearch._PAIR_LINES.clear()
+    monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
     for d1, d2 in pairs:
         assert compare_report(d1, d2).to_json() == expected[(d1, d2)], (d1, d2)
     asked = 2 * len(pairs)  # p and w per pair
@@ -54,10 +55,9 @@ def test_asking_again_runs_no_search(monkeypatch):
          B(2, 3, 1, 1), A(1, -2, 1, 2), A(1, -2, 2, 1)]
     questions = []
     for d1, d2 in zip(d[::2], d[1::2]):
-        R1, R2 = SearchRing(cohomology(d1)), SearchRing(cohomology(d2))
-        questions.append((R1, R2, [(pontrjagin(d1), pontrjagin(d2)),
+        search = PairSearch(SearchRing(cohomology(d1)), SearchRing(cohomology(d2)))
+        questions.append((search, [(pontrjagin(d1), pontrjagin(d2)),
                                    (stiefel_whitney(d1), stiefel_whitney(d2))]))
-    isosearch._PAIR_LINES.clear()
     first = [find_iso_per_class(*q) for q in questions]
     handed = _count_class_pairs_searched(monkeypatch)
     again = [find_iso_per_class(*q) for q in questions]
@@ -80,14 +80,16 @@ def test_integer_and_mod2_class_of_equal_terms_answered_apart():
     fresh = {domain: _outcome(find_iso(P1, P2, [c])) for domain, c in by_domain.items()}
     assert fresh[Domain.INT][0] == "no" and fresh[Domain.MOD2][0] == "found"
     for order in ((Domain.INT, Domain.MOD2), (Domain.MOD2, Domain.INT)):
-        isosearch._PAIR_LINES.clear()
+        search = PairSearch(SearchRing(P1), SearchRing(P2))
         for domain in order:
-            [result] = find_iso_per_class(SearchRing(P1), SearchRing(P2), [by_domain[domain]])
+            [result] = find_iso_per_class(search, [by_domain[domain]])
             assert _outcome(result) == fresh[domain], order
 
 
 @pytest.mark.parametrize("fail_at", [1, 2])
 def test_search_that_raises_keeps_no_answer(monkeypatch, fail_at):
+    # a walk that raises records no answer in the PairSearch it was handed,
+    # and compare_report's owner drops the state that was in use
     d1, d2 = B(3, 2, 2, 0), B(3, -2, 2, 0)
     P1, P2 = cohomology(d1), cohomology(d2)
     classes = [(pontrjagin(d1), pontrjagin(d2)), (stiefel_whitney(d1), stiefel_whitney(d2))]
@@ -100,12 +102,20 @@ def test_search_that_raises_keeps_no_answer(monkeypatch, fail_at):
             raise RuntimeError("injected")
         return real(*args)
 
-    isosearch._PAIR_LINES.clear()
     monkeypatch.setattr(isosearch, "check_preserves", flaky)
+    search = PairSearch(SearchRing(P1), SearchRing(P2))
     with pytest.raises(RuntimeError, match="injected"):
-        find_iso_per_class(SearchRing(P1), SearchRing(P2), classes)
-    assert isosearch._PAIR_LINES == {}
+        find_iso_per_class(search, classes)
+    assert search.answers == {}
     for c, expected in zip(classes, fresh):
-        assert _outcome(find_iso_per_class(SearchRing(P1), SearchRing(P2), [c])[0]) == expected
-    assert [_outcome(r) for r in find_iso_per_class(SearchRing(P1), SearchRing(P2),
-                                                     classes)] == fresh
+        assert _outcome(find_iso_per_class(search, [c])[0]) == expected
+    assert [_outcome(r) for r in find_iso_per_class(search, classes)] == fresh
+
+    calls.clear()
+    owner = classify.CompareCache()
+    monkeypatch.setattr(classify, "_CACHE", owner)
+    with pytest.raises(RuntimeError, match="injected"):
+        compare_report(d1, d2)
+    assert owner.searches == {}
+    report = compare_report(d1, d2)
+    assert [report.p_preservable, report.w_preservable] == [s == "found" for s, _ in fresh]

@@ -69,6 +69,19 @@ def test_canonicalize_fixed_point_degree_two():
     assert canonicalize(P) == P
 
 
+def test_equal_presentations_built_apart_hash_equal():
+    # the hash is kept once computed; equal presentations, however built
+    # and in either order of first use, hash alike
+    P, Q, raw = canonicalize(sphere_pres(3, 1, 4)), canonicalize(sphere_pres(3, 1, 4)), \
+        sphere_pres(3, 1, 4)
+    R, S = bott_pres(2, 1, 1, 1), bott_pres(2, 1, 1, 1)
+    assert P is not Q and P == Q and raw != P and R == S
+    assert hash(P) == hash(P) == hash(Q)
+    assert hash(S) == hash(R) == hash(S) != hash(P)
+    assert len({P, Q, raw, R, S}) == 3
+    assert {P: 1}[Q] == 1 and presentation_mod2(P) in {presentation_mod2(Q)}
+
+
 # --- normal_form ----------------------------------------------------------------
 
 def test_normal_form_rewrites_leading_power():
