@@ -15,6 +15,20 @@ t alone, whose integer roots are found exactly; preserved mod-2 classes
 keep the roots at which their polynomials are even.  Exhaustion is a
 definite "no isomorphism", so every answer is "found" or "no".
 
+Each line is walked once per symmetry orbit.  If phi carries c1 to c2
+and an automorphism g of the target fixes c2, then g . phi carries c1 to
+c2 as well.  Two automorphisms of the target map lines onto lines:
+sigma: x -> -x, w -> (-1)^d w (deg w = 2d), the grading involution of
+every target, which fixes every mod-2 class and every integer class
+whose terms have degrees divisible by 4; and, when the relation is
+w^2 + b x^d w + e x^(2d), tau: x -> x, w -> -w - b x^d, which fixes
+every class in x alone.  A line that one of them maps an earlier line
+onto is skipped for a class group whose target classes it fixes: the
+earlier line has a witness for the group whenever the skipped one does,
+so no first witness moves and no answer changes.  A line's relation
+conditions are formed on its first solve, so a line every group skips
+costs nothing.
+
 Both searches walk a PairSearch, the solver's state for one ordered ring
 pair: its lines, relation roots, verified witnesses with their image
 tables, and answers per class pair.  find_iso builds a fresh one per
@@ -346,15 +360,18 @@ def _common_roots(polys: list[list[int]]) -> list[int]:
 def _line_solver(P1, line):
     """solve(classes): the integer t, in the order (|t|, t), at which the
     map along `line` (as for ``_line_conditions``) kills the relation of P1,
-    whose conditions and roots are computed once, and carries each class
-    (integer polynomial, partner's terms, mod2) to its partner.  Mod-2
-    classes come lifted to integers and only filter: their conditions must
-    vanish mod 2.  When every integer condition is vacuous, the parity
-    representatives 0 and 1 stand for the whole line."""
-    rel = [u for u in map(_trim, _line_conditions(P1.relation, {}, line)) if u]
-    rel_roots = _common_roots(rel) if rel else None
+    whose conditions and roots are computed once, on the first solve, and
+    carries each class (integer polynomial, partner's terms, mod2) to its
+    partner.  Mod-2 classes come lifted to integers and only filter: their
+    conditions must vanish mod 2.  When every integer condition is vacuous,
+    the parity representatives 0 and 1 stand for the whole line."""
+    rel = rel_roots = None
 
     def solve(classes):
+        nonlocal rel, rel_roots
+        if rel is None:
+            rel = [u for u in map(_trim, _line_conditions(P1.relation, {}, line)) if u]
+            rel_roots = _common_roots(rel) if rel else None
         ints, mod2 = [], []
         for g, target, is_mod2 in classes:
             (mod2 if is_mod2 else ints).extend(_line_conditions(g, target, line))
@@ -518,19 +535,42 @@ def _nilpotent_directions(P1: RingPresentation, ladder: _Monomials) -> list[tupl
     return sorted(dirs)
 
 
+def _sigma_fixes(c: NormalElement) -> bool:
+    """Whether sigma: x -> -x, w -> (-1)^d w (deg w = 2d) fixes the class
+    c.  It turns the sign of each basis monomial of degree 2 mod 4 and
+    reduces to the identity mod 2."""
+    return c.poly.domain is Domain.MOD2 or all(c.poly.term_degree(e) % 4 == 0
+                                               for e in c.poly.terms)
+
+
+def _tau_fixes(c: NormalElement) -> bool:
+    """Whether tau: x -> x, w -> -w - b x^d fixes the class c: every class
+    in x alone does."""
+    return all(b == 0 for _, b in c.poly.terms)
+
+
 def _lines(R1: SearchRing, R2: SearchRing):
-    """(line, make) per line of the exact solver in its canonical order:
-    `line` the arguments (mono, s, e, sx, sw) of ``_line_image``, make(t)
-    the witness at t.
+    """(line, make, autos) per line of the exact solver in its canonical
+    order: `line` the arguments (mono, s, e, sx, sw) of ``_line_image``,
+    make(t) the witness at t, and `autos` the fixedness tests
+    (``_sigma_fixes``, ``_tau_fixes``) of the target automorphisms that map
+    an earlier line onto this one, each witness to a witness.
 
     Degree 2: x goes to a nilpotent direction X = alpha x + beta w, w to
     the line W0 + t X of completions to determinant +-1.  With (alpha,
     beta) = sgn (p, q), _egcd(alpha, beta) = (sgn g, s_a, s_b), so W0 =
     sgn det W1 for the completion W1 of (p, q), and the four lines of a
-    direction share the table of p x + q w, W1.  Degree 2d > 2: x goes to
-    eps1 x, w to eps2 w + a x^d, x^d = eps1^d (eps1 x)^d; the four lines
-    share the table of x^i w^j.  Both relations linear in w (truncated
-    polynomial rings in x): the maps x -> +-x, with `line` None.
+    direction share the table of p x + q w, W1.  sigma negates X and W0,
+    so it maps the sgn = 1 line of a direction and det onto its sgn = -1
+    line, at the same t.  Degree 2d > 2: x goes to eps1 x, w to eps2 w +
+    a x^d, x^d = eps1^d (eps1 x)^d; the four lines share the table of
+    x^i w^j.  sigma maps the eps1 = 1 lines onto the eps1 = -1 lines (a
+    -> (-1)^d a, eps2 -> (-1)^d eps2); when the target's relation is
+    quadratic in w, tau maps each eps2 = 1 line onto the eps2 = -1 line
+    of the same eps1 (a -> a - eps2 b).  Both relations linear in w
+    (truncated polynomial rings in x): the maps x -> +-x, with `line`
+    None, the second the sigma image of the first.  Every image comes
+    after its preimage in this order.
     """
     P1, P2 = R1.P, R2.P
     if P1.w_exponent == 1 and P2.w_exponent == 1 and P1.ell == P2.ell:
@@ -542,16 +582,18 @@ def _lines(R1: SearchRing, R2: SearchRing):
                                 -w1_rest, P2).poly
             witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
                                  params={"eps": eps1})
-            yield None, lambda t, w=witness: w
+            yield None, lambda t, w=witness: w, (_sigma_fixes,) * (eps1 < 0)
     if P1.w_exponent == 1 or P2.w_exponent == 1 or P1.w_degree != P2.w_degree:
         return
     core = R2.core
     ladder = _Monomials(core, *(P2.relation._clean({e: 1}) for e in ((1, 0), (0, 1))))  # x^i w^j
     if P1.w_degree > 2:
         d = P1.w_degree // 2
+        tau = (_tau_fixes,) if P2.w_exponent == 2 else ()
         for eps1, eps2 in itertools.product((1, -1), repeat=2):
             yield ((ladder, eps1 ** d, d, eps1, eps2),
-                   lambda a, e1=eps1, e2=eps2: _shear_witness(P1, P2, e1, a, e2))
+                   lambda a, e1=eps1, e2=eps2: _shear_witness(P1, P2, e1, a, e2),
+                   (_sigma_fixes,) * (eps1 < 0) + tau * (eps2 < 0))
     else:
         for p, q in _nilpotent_directions(P1, ladder):
             g, s_a, s_b = _egcd(p, q)
@@ -565,15 +607,18 @@ def _lines(R1: SearchRing, R2: SearchRing):
                 a, b, c, d = sgn * p, sgn * q, -s_b * sgn * det, s_a * sgn * det
                 yield ((mono, 1, 1, sgn, sgn * det),
                        lambda t, a=a, b=b, c=c, d=d: _matrix_witness(P1, P2, a, c + t * a,
-                                                                     b, d + t * b))
+                                                                     b, d + t * b),
+                       (_sigma_fixes,) * (sgn < 0))
 
 
 class PairSearch:
     """The exact solver's state for an ordered pair of SearchRings: the
     lines of _lines(R1, R2) (none when the graded ranks differ),
     materialised as they are consumed, each with its solve (see
-    _line_solver), its make(t) and, by t, the witness with the table
-    verify_iso returned for it (None where it rejects).  `answers` is
+    _line_solver; a line's relation conditions are formed on its first
+    solve), its make(t), by t the witness with the table verify_iso
+    returned for it (None where it rejects), and the fixedness tests of
+    the automorphisms that map an earlier line onto it.  `answers` is
     filled by find_iso_per_class: class pair key (see _answer_key) -> the
     first witness that preserves it, or None when none does."""
 
@@ -585,9 +630,9 @@ class PairSearch:
 
     def __iter__(self):
         yield from self._done
-        for line, make in self._pending:  # left open when the caller stops
+        for line, make, autos in self._pending:  # left open when the caller stops
             solve = _line_solver(self.rings[0].P, line) if line else lambda _: [0]
-            self._done.append((solve, make, {}))
+            self._done.append((solve, make, {}, autos))
             yield self._done[-1]
 
 
@@ -597,13 +642,21 @@ def _exact_candidates(search: PairSearch, groups):
     partner (canonical rings of equal graded ranks, each class in its
     side's presentation or that presentation's mod-2 reduction).  A line's
     relation roots and witnesses serve every group; mod-2 classes are
-    lifted to Z once."""
+    lifted to Z once.  A line is skipped for a group when an automorphism
+    that maps an earlier line onto it fixes every target class of the
+    group (an empty group always qualifies): the earlier line, walked or
+    itself skipped for the same reason, holds a witness for the group
+    whenever this one does, so the first witness is the same."""
     classes = [[(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                  c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in group]
                for group in groups]
+    fixing = [{fixes for fixes in (_sigma_fixes, _tau_fixes)
+               if all(fixes(c2) for _, c2 in group)} for group in groups]
     live = list(range(len(groups)))
-    for solve, make, verified in search:
+    for solve, make, verified, autos in search:
         for i in live[:]:
+            if not fixing[i].isdisjoint(autos):
+                continue
             for t in solve(classes[i]):
                 if t not in verified:
                     witness = make(t)

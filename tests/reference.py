@@ -139,16 +139,17 @@ def enum_isos(P1: RingPresentation, P2: RingPresentation, preserve=(), bound: in
 def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     """Every verified witness of the exact solver that carries each class
     pair of `preserve`, in its canonical order: each root of each line of a
-    fresh ``isosearch.PairSearch``, not only the first.  On an infinite
-    witness family only line representatives are yielded.  Each class lives
-    in its side's canonical form or that form's mod-2 reduction, so its
-    image is read from the witness's table."""
+    fresh ``isosearch.PairSearch``, not only the first, and every line,
+    also those the search skips as automorphism images of earlier lines.
+    On an infinite witness family only line representatives are yielded.
+    Each class lives in its side's canonical form or that form's mod-2
+    reduction, so its image is read from the witness's table."""
     rings = isosearch._canonical_pair(P1, P2)
     if rings is None:
         return
     classes = [(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                 c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in preserve]
-    for solve, make, _ in isosearch.PairSearch(*rings):
+    for solve, make, _, _ in isosearch.PairSearch(*rings):
         for t in solve(classes):
             witness = make(t)
             table = verify_iso(witness, rings=rings)
