@@ -38,8 +38,9 @@ module, and a witness carries nothing but its generator images.
 
 Every product in the target ring goes through ``TruncatedProducts``.
 Every candidate is verified before it is reported (relations map to zero
-and every graded component transforms by a matrix of determinant +-1),
-so a returned witness is always sound.
+and the components of the generator degrees transform by matrices of
+determinant +-1, which makes the map bijective in every degree), so a
+returned witness is always sound.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from functools import cached_property
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
-                                 canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form, presentation_mod2)
+                                 canonicalize, evaluate_hom, graded_ranks, normal_form,
+                                 presentation_mod2)
 
 
 class IsoWitness:
@@ -88,30 +89,7 @@ class IsoSearchResult:
 
 
 # --------------------------------------------------------------------------
-# exact integer linear algebra helpers
-
-
-def _det(mat: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+# exact integer helpers
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -207,6 +185,24 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
         r = _trim(_prem(a, b))
         a, b = b, _primitive(r) if r else []
     return _primitive(a)
+
+
+def _gcd_is_constant_mod(polys: list[list[int]], p: int) -> bool:
+    """Whether the gcd over F_p of nonzero coefficient lists is constant."""
+    g: list[int] = []
+    for u in polys:
+        a, b = g, _trim([c % p for c in u])
+        while b:  # Euclid: a, b = b, a mod b
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                q, shift = a[-1] * inv % p, len(a) - len(b)
+                a[shift:] = [(c - q * d) % p for c, d in zip(a[shift:], b)]
+                _trim(a)
+            a, b = b, a
+        g = a
+        if len(g) == 1:
+            return True
+    return False
 
 
 def _int_roots(u: list[int], factors: dict[int, int] | None = None) -> list[int]:
@@ -392,28 +388,40 @@ def _line_solver(P1, line):
 
 class SearchRing:
     """A presentation with its graded ranks and, from first use, its
-    monomial basis and product core.  classify.compare_report keeps one
-    per recent descriptor; find_iso builds two per call."""
+    product core.  classify.compare_report keeps one per recent
+    descriptor; find_iso builds two per call."""
 
     def __init__(self, P: RingPresentation):
         self.P, self.ranks = P, graded_ranks(P)
-
-    @cached_property
-    def basis(self) -> list[tuple[int, int]]:
-        return monomial_basis(self.P)
 
     @cached_property
     def core(self) -> TruncatedProducts:
         return TruncatedProducts(self.P)
 
 
+def _basis_in_degree(P: RingPresentation, deg: int) -> list[tuple[int, int]]:
+    """The normal basis exponents (a, b) of P in degree deg."""
+    return [((deg - P.w_degree * b) // 2, b) for b in range(min(P.w_exponent, deg // P.w_degree + 1))
+            if deg - P.w_degree * b <= 2 * P.ell]
+
+
 def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
                P2: RingPresentation | None = None, *, rings=None) -> _Monomials | None:
-    """Soundness check: relations map to zero and every graded component
-    transforms by an integer matrix of determinant +-1.  `rings` are the
-    SearchRings of P1 and P2.  Returns the table of monomial images in P2
-    (truthy) when the check passes, None when it fails; the witness is
-    left as it is."""
+    """Soundness check: the images are homogeneous of their generators'
+    degrees, x^(l1+1) and the relation map to zero, the graded ranks are
+    equal, and the components of degree 2 and of degree deg w of the
+    target transform by integer matrices of determinant +-1.  `rings` are
+    the SearchRings of P1 and P2.  Returns the table of monomial images in
+    P2 (truthy) when the check passes, None when it fails; the witness is
+    left as it is.  The table holds the images these checks formed, and
+    check_preserves adds those it reads.
+
+    The other degrees add nothing.  The first three checks make the map a
+    well-defined graded ring homomorphism between rings of equal graded
+    ranks.  Bijective in degrees 2 and deg w, it has the target's x and w
+    in its image; they generate the target, so the map is onto, and an
+    onto Z-linear map between free modules of equal finite rank is
+    bijective.  Each of the two matrices is at most 2x2."""
     R1, R2 = rings or (SearchRing(P1 if P1 is not None else witness.source),
                        SearchRing(P2 if P2 is not None else witness.target))
     P1, P2 = R1.P, R2.P
@@ -437,23 +445,14 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
 
     if R1.ranks != R2.ranks:
         return None
-    index2 = {e: i for i, e in enumerate(R2.basis)}
-    cols_by_degree: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(R2.basis):
-        cols_by_degree.setdefault(2 * a + P2.w_degree * b, []).append(i)
-    by_degree: dict[int, list[list[int]]] = {}
-    for a, b in R1.basis:
-        deg = 2 * a + P1.w_degree * b
-        row = [0] * len(index2)
-        for e, c in mono.nf(a, b).terms.items():
-            row[index2[e]] = c
-        by_degree.setdefault(deg, []).append(row)
-    for deg, rows in by_degree.items():
-        cols = cols_by_degree.get(deg, [])
-        if len(cols) != len(rows):
-            return None
-        mat = [[row[i] for i in cols] for row in rows]
-        if _det(mat) not in (1, -1):
+    for deg in {2, P2.w_degree}:
+        cols = _basis_in_degree(P2, deg)
+        m = [[mono.nf(a, b).terms.get(e, 0) for e in cols] for a, b in _basis_in_degree(P1, deg)]
+        if len(m) == 2:
+            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        else:  # 1x1 or empty
+            det = m[0][0] if m else 1
+        if det not in (1, -1):
             return None
     return mono
 
@@ -502,12 +501,23 @@ def _shear_witness(P1, P2, eps1, a, eps2) -> IsoWitness:
 # the exact solver: one line enumerator
 
 
+_PRIME = 2 ** 31 - 1  # the modulus of the gcd check in _nilpotent_directions
+
+
 def _nilpotent_directions(P1: RingPresentation, ladder: _Monomials) -> list[tuple[int, int]]:
     """Primitive (p, q) with (p x + q w)^(l1+1) = 0 in the target (both
     generators of degree 2), whose identity ladder is given.
 
     The coefficient of p^i q^(n-i) in (p x + q w)^n is C(n, i) x^i w^(n-i),
-    so each basis coordinate of the power is a binary form in (p, q).
+    so each basis coordinate of the power is a binary form in (p, q), and
+    the directions other than (1, 0) are the rational roots of the integer
+    gcd G of these forms as polynomials in p/q.  Their gcd over F_r, for
+    the prime r = 2^31 - 1, comes first when r does not divide the leading
+    coefficient a of the first form u_1: G divides u_1, so its leading
+    coefficient divides a and G mod r keeps its degree, while it divides
+    every form mod r.  So deg G is at most the degree of the gcd over F_r,
+    and a constant gcd over F_r leaves (1, 0) as the only possible
+    direction, with no integer gcd formed.
     """
     core = ladder.core
     n = P1.ell + 1
@@ -525,6 +535,8 @@ def _nilpotent_directions(P1: RingPresentation, ladder: _Monomials) -> list[tupl
     dirs: set[tuple[int, int]] = set()
     if all(len(u) <= n for u in univariates):  # no p^n term: x^n = 0
         dirs.add((1, 0))
+    if univariates[0][-1] % _PRIME and _gcd_is_constant_mod(univariates, _PRIME):
+        return sorted(dirs)
     g = univariates[0]
     for u in univariates[1:]:
         g = _poly_gcd(g, u)

@@ -6,6 +6,10 @@ polynomials in x.  Division by f (monic in w) followed by truncation in x
 is a complete, confluent reduction, so every coset has a unique normal
 form on the monomial basis x^a w^b, a <= l, b <= D-1.
 
+Every basis monomial has degree at most the top degree 2l + deg(w)(D-1),
+that of x^l w^(D-1), and both relations are homogeneous, so the normal
+form of a homogeneous element above the top degree is 0.
+
 Products of normal forms go through ``TruncatedProducts``, which reduces
 as it multiplies, so no intermediate result grows past the basis.
 """
@@ -184,7 +188,11 @@ class TruncatedProducts:
     Operands and results are normal forms over the presentation's
     generators.  A product never forms a monomial with x-exponent above l,
     and rewrites x^a w^b by x^a times the normal form of w^b only once b
-    reaches D; those normal forms are cached per instance.
+    reaches D; those normal forms are cached per instance.  A term x^a w^b
+    with b >= D whose degree is above the top degree is never formed, and
+    no normal form of a power of w above the top degree is built: its
+    normal form is 0.  A term with b < D lies on the basis, at or below
+    the top degree, so only the terms with b >= D are tested.
     """
 
     def __init__(self, P: RingPresentation):
@@ -192,6 +200,7 @@ class TruncatedProducts:
         self.one = GradedPoly._trusted(P.relation.gens, {(0, 0): 1}, P.domain)
         self.ell = P.ell
         self.D = D = P.w_exponent
+        self.top = 2 * self.ell + P.w_degree * (D - 1)  # degree of x^l w^(D-1)
         # terms of the normal forms of w^(D+k), k = 0, 1, ..., in increasing
         # x-exponent; w^D is congruent to -(f - w^D)
         w_D = {e: -c for e, c in P.relation.terms.items() if e != (0, D) and e[0] <= self.ell}
@@ -203,7 +212,7 @@ class TruncatedProducts:
         return self._tails[k]
 
     def _mul(self, f: dict, g: dict) -> dict:
-        ell, D = self.ell, self.D
+        ell, D, w_degree, top = self.ell, self.D, self.P.w_degree, self.top
         low: dict[tuple[int, int], int] = {}
         high: dict[tuple[int, int], int] = {}
         g_items = sorted(g.items())
@@ -213,8 +222,10 @@ class TruncatedProducts:
                 if a2 > room:
                     break
                 key = (a1 + a2, b1 + b2)
-                acc = low if key[1] < D else high
-                acc[key] = acc.get(key, 0) + c1 * c2
+                if key[1] < D:
+                    low[key] = low.get(key, 0) + c1 * c2
+                elif 2 * key[0] + w_degree * key[1] <= top:
+                    high[key] = high.get(key, 0) + c1 * c2
         for (a, b), c in high.items():
             if not c:
                 continue

@@ -7,18 +7,21 @@ the face-ring block monomials by repeated products, the descriptor
 relations and characteristic-class factors by ``+ * **`` in the free ring,
 the total characteristic classes by expanding their product formulas
 there, and ring isomorphisms by literal enumeration of generator images
-in a window.  ``iter_isos`` lists every witness of the exact solver.
+in a window.  ``iter_isos`` lists every witness of the exact solver, and
+``verify_iso_all_degrees`` checks a witness in every degree.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from torusclass import isosearch
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor
 from torusclass.isosearch import SearchRing, check_preserves, verify_iso
 from torusclass.quasitoric import FaceRingPresentation
-from torusclass.quotient import RingPresentation, canonicalize, normal_form
+from torusclass.quotient import (RingPresentation, canonicalize, evaluate_hom, graded_ranks,
+                                 monomial_basis, normal_form)
 
 
 def ring_equal(p: GradedPoly, q: GradedPoly, P: RingPresentation) -> bool:
@@ -155,3 +158,46 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
             table = verify_iso(witness, rings=rings)
             if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in preserve):
                 yield witness
+
+
+def determinant(mat: list[list[int]]) -> Fraction:
+    """Determinant of a square integer matrix by elimination over Q."""
+    m = [[Fraction(c) for c in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def verify_iso_all_degrees(witness, P1: RingPresentation, P2: RingPresentation) -> bool:
+    """Whether the witness is an isomorphism P1 -> P2, checked in every
+    degree: images homogeneous of their generators' degrees, x^(l+1) and
+    the relation sent to zero, equal graded ranks, and the matrix of every
+    graded component of determinant +-1.  Images go through evaluate_hom."""
+    images = witness.images
+    for name, deg in P1.gens:
+        img = images.get(name)
+        if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
+            return False
+    x_power = GradedPoly.monomial(P1.gens, (P1.ell + 1, 0))
+    if any(not evaluate_hom(images, f, P2).is_zero() for f in (x_power, P1.relation)):
+        return False
+    if graded_ranks(P1) != graded_ranks(P2):
+        return False
+    for deg in graded_ranks(P2):
+        rows = [(a, b) for a, b in monomial_basis(P1) if 2 * a + P1.w_degree * b == deg]
+        cols = [(a, b) for a, b in monomial_basis(P2) if 2 * a + P2.w_degree * b == deg]
+        mat = [[evaluate_hom(images, GradedPoly.monomial(P1.gens, e), P2).poly.terms.get(c, 0)
+                for c in cols] for e in rows]
+        if determinant(mat) not in (1, -1):
+            return False
+    return True

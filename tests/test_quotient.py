@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from reference import additive_rank, ring_equal
 from torusclass.intpoly import Domain, GradedPoly
+from torusclass.invariants import ManifoldDescriptor, pontrjagin
 from torusclass.quotient import (RingPresentation, TruncatedProducts, canonicalize,
                                  evaluate_hom, graded_ranks, monomial_basis,
                                  normal_form, presentation_mod2, reduced_product)
@@ -229,10 +230,9 @@ def test_normal_form_lands_on_basis(data):
 # --- the truncating product core against full expansion ------------------------------
 
 @st.composite
-def presentation_and_factors(draw):
+def presentations(draw):
     """A random canonical presentation, over Z or F2, with a relation monic
-    of w-degree D, and up to three factors (p, e) whose constant terms are
-    arbitrary."""
+    of w-degree D."""
     half = draw(st.integers(1, 3))  # deg w = 2 * half
     ell = draw(st.integers(0, 4))
     D = draw(st.integers(1, 3))
@@ -241,8 +241,14 @@ def presentation_and_factors(draw):
     for j in range(D):
         rel[(half * (D - j), j)] = draw(coef)
     P = canonicalize(RingPresentation("x", "w", 2 * half, ell, GradedPoly(gens, rel)))
-    if draw(st.booleans()):
-        P = presentation_mod2(P)
+    return presentation_mod2(P) if draw(st.booleans()) else P
+
+
+@st.composite
+def presentation_and_factors(draw):
+    """A presentation as drawn by presentations() and up to three factors
+    (p, e) whose constant terms are arbitrary."""
+    P = draw(presentations())
     factor_exps = st.tuples(st.integers(0, 6), st.integers(0, 4))
     factors = draw(st.lists(
         st.tuples(st.dictionaries(factor_exps, coef, max_size=4).map(P.poly),
@@ -260,6 +266,47 @@ def test_truncated_power_and_product_match_full_expansion(data):
         assert core.power(normal_form(p, P).poly, e) == normal_form(p ** e, P).poly
         expanded = expanded * p ** e
     assert reduced_product(factors, P) == normal_form(expanded, P)
+
+
+@st.composite
+def normal_forms_past_the_top(draw):
+    """A presentation as drawn by presentations() and two of its normal
+    forms whose product has a term above the top degree 2l + deg(w)(D-1)."""
+    P = draw(presentations())
+    top = 2 * P.ell + P.w_degree * (P.w_exponent - 1)
+    basis = st.sampled_from(monomial_basis(P))
+    p, q = (normal_form(P.poly(draw(st.dictionaries(basis, coef, min_size=1, max_size=5))), P).poly
+            for _ in range(2))
+    assume(any(p.term_degree(e1) + q.term_degree(e2) > top for e1 in p.terms for e2 in q.terms))
+    return P, p, q
+
+
+@given(normal_forms_past_the_top())
+def test_product_cut_at_the_top_degree_is_exact(data):
+    P, p, q = data
+    assert TruncatedProducts(P).mul(p, q) == normal_form(p * q, P).poly
+
+
+def test_product_past_the_top_degree_forms_no_tail():
+    # top degree of Z[x,y]/<x^4, y^60 + ...> is 6 + 118; y^59 * y^59 lies above it
+    P = bott_pres(3, 4, 30, 30)
+    core = TruncatedProducts(P)
+    assert core.mul(P.poly({(0, 59): 1}), P.poly({(0, 59): 1})).is_zero()
+    assert len(core._tails) == 1  # the normal form of y^60 alone
+
+
+def test_pontrjagin_forms_no_product_past_the_top_degree(monkeypatch):
+    # forming every high term and its tail took 121 products
+    calls = []
+    mul = TruncatedProducts._mul
+
+    def counted(self, f, g):
+        calls.append(1)
+        return mul(self, f, g)
+
+    monkeypatch.setattr(TruncatedProducts, "_mul", counted)
+    pontrjagin(ManifoldDescriptor("A", 3, 4, 30, 30))
+    assert len(calls) == 65
 
 
 def test_mod2_presentation():
