@@ -11,8 +11,10 @@ first: a rational direction root of the nilpotency forms of
 then runs along a line W0 + tU, with U = X in degree 2 and U = x^d in
 degree 2d, so x^a w^b goes to sum_k C(b, k) t^k X^a U^k W0^(b-k).  The
 relation and every preserved integer class become integer polynomials in
-t alone, whose integer roots are found exactly; preserved mod-2 classes
-keep the roots at which their polynomials are even.  Exhaustion is a
+t alone.  Their integer roots, and the rational direction roots, are
+lifted from the roots modulo a small prime by Newton's iteration
+(Hensel's lemma), so no number is factored; preserved mod-2 classes keep
+the roots at which their polynomials are even.  Exhaustion is a
 definite "no isomorphism", so every answer is "found" or "no".
 
 Each line is walked once per symmetry orbit.  If phi carries c1 to c2
@@ -104,38 +106,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 7
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
-    if n > 1:
-        if n < 100_000 ** 2:
-            out[n] = out.get(n, 0) + 1
-        else:
-            from sympy import factorint  # rare large cofactor
-
-            for q, e in factorint(n).items():
-                out[int(q)] = out.get(int(q), 0) + e
-    return out
-
-
-def _divisors(factors: dict[int, int]) -> list[int]:
-    """The positive divisors of the number with this factorization."""
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 # --------------------------------------------------------------------------
 # univariate integer polynomials as coefficient lists
 
@@ -205,41 +175,57 @@ def _gcd_is_constant_mod(polys: list[list[int]], p: int) -> bool:
     return False
 
 
-def _int_roots(u: list[int], factors: dict[int, int] | None = None) -> list[int]:
-    """All integer roots of a nonzero integer polynomial.
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer coefficient lists where b divides a in Z[y]."""
+    a, q = a[:], [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = a[i + len(b) - 1] // b[-1]
+        for k, c in enumerate(b):
+            a[i + k] -= q[i] * c
+    return q
 
-    `factors`, if given, factors a number that every nonzero integer root
-    divides; the lowest nonzero coefficient is factored otherwise.
+
+def _int_roots(u: list[int]) -> list[int]:
+    """All integer roots of a nonzero integer polynomial, in increasing order.
+
+    Zero roots are taken off first, and a linear rest is solved by exact
+    division.  Otherwise the roots are those of the squarefree part
+    s = u / gcd(u, u').  For the least odd prime p that does not divide the
+    leading coefficient of s and modulo which s stays squarefree, every
+    root of s mod p (found by trying 0..p-1) is simple, so Newton's
+    iteration lifts it to the one root mod p^(2^k) above it (Hensel's
+    lemma) until the modulus exceeds 2|s_0|.  An integer root t of s
+    divides s_0 != 0, so it is the symmetric residue of the lift of t mod p;
+    each residue is kept when u(t) = 0 holds exactly.
     """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
-    roots = set()
-    shift = 0
+    roots = []
     while u[0] == 0:
         u.pop(0)
-        shift += 1
-    if shift:
-        roots.add(0)
-    deg = len(u) - 1
-    if deg == 1:
-        c0, c1 = u
-        if c0 % c1 == 0:
-            roots.add(-c0 // c1)
-    elif deg == 2:
-        c0, c1, c2 = u
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                for num in (-c1 + s, -c1 - s):
-                    if num % (2 * c2) == 0:
-                        roots.add(num // (2 * c2))
-    elif deg >= 3:
-        for d in _divisors(_factorize(u[0]) if factors is None else factors):
-            for t in (d, -d):
-                if _ueval(u, t) == 0:
-                    roots.add(t)
+        roots = [0]
+    if len(u) == 2:
+        if u[0] % u[1] == 0:
+            roots.append(-u[0] // u[1])
+    elif len(u) > 2:
+        s = _exact_quotient(u, _poly_gcd(u, [i * c for i, c in enumerate(u)][1:]))
+        ds = [i * c for i, c in enumerate(s)][1:]
+        p = 3
+        while s[-1] % p == 0 or not _gcd_is_constant_mod([s, ds], p):
+            p += 2
+            while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+                p += 2
+        for t in range(p):
+            if _ueval(s, t) % p:
+                continue
+            m = p
+            while m <= 2 * abs(s[0]):
+                m *= m
+                t = (t - _ueval(s, t) * pow(_ueval(ds, t), -1, m)) % m
+            t = t - m if 2 * t > m else t
+            if _ueval(u, t) == 0:
+                roots.append(t)
     return sorted(roots)
 
 
@@ -247,32 +233,18 @@ def _rational_roots(u: list[int]) -> list[tuple[int, int]]:
     """All rational roots p/q of a nonzero integer polynomial, as reduced
     pairs (p, q) with q > 0, in increasing order of the pairs.
 
-    Zero roots are taken off first.  For degree n and leading coefficient
-    a the others are t/a for the integer roots t of the monic
-    a^(n-1) u(y/a), whose coefficients are u_i a^(n-1-i).  A root p/q of
-    u has p | u_0 and q | a, so t = p (a/q) divides u_0 a: the divisors
-    of u_0 a, factored from the factorizations of u_0 and of a, are the
-    only candidates, and no number larger than the coefficients of u is
-    factored.
+    For degree n and leading coefficient a they are t/a for the integer
+    roots t of the monic a^(n-1) u(y/a), whose coefficients are
+    u_i a^(n-1-i); those come from ``_int_roots``, which lifts them from
+    their residues modulo a small prime, so nothing is factored.
     """
     u = _trim(u[:])
     if not u:
         raise ValueError("zero polynomial has every root")
-    zeros = [(0, 1)] if u[0] == 0 else []
-    while u[0] == 0:
-        u.pop(0)
     a, n = u[-1], len(u) - 1
     monic = [c * a ** (n - 1 - i) for i, c in enumerate(u[:-1])] + [1]
-    factors = None
-    if n >= 3:  # _int_roots lists divisors only from degree 3 on
-        factors = _factorize(u[0])
-        for p, e in _factorize(a).items():
-            factors[p] = factors.get(p, 0) + e
-    roots = []
-    for t in _int_roots(monic, factors):
-        g = math.gcd(t, a) if a > 0 else -math.gcd(t, a)
-        roots.append((t // g, a // g))
-    return sorted(zeros + roots)
+    sign = 1 if a > 0 else -1
+    return sorted((t // g, a // g) for t in _int_roots(monic) for g in [sign * math.gcd(t, a)])
 
 
 # --------------------------------------------------------------------------

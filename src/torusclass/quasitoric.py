@@ -78,7 +78,7 @@ class CharMatrix:
     __slots__ = ("rows", "blocks")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], blocks: SimplexBlocks):
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         self.blocks = blocks
         n, m = blocks.dim, blocks.facet_count
         if len(self.rows) != n:
@@ -96,7 +96,12 @@ class CharMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "CharMatrix":
-        return cls(tuple(tuple(r) for r in data["rows"]), SimplexBlocks(tuple(data["blocks"])))
+        """The matrix of to_json's output; an entry or block size that is
+        not an int (a float, a string or a bool) raises ValueError."""
+        rows, sizes = tuple(tuple(r) for r in data["rows"]), tuple(data["blocks"])
+        if any(type(v) is not int for v in sizes + sum(rows, ())):
+            raise ValueError("matrix entries and block sizes must be integers")
+        return cls(rows, SimplexBlocks(sizes))
 
 
 class FaceRingPresentation:

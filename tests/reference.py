@@ -7,8 +7,10 @@ the face-ring block monomials by repeated products, the descriptor
 relations and characteristic-class factors by ``+ * **`` in the free ring,
 the total characteristic classes by expanding their product formulas
 there, and ring isomorphisms by literal enumeration of generator images
-in a window.  ``iter_isos`` lists every witness of the exact solver, and
-``verify_iso_all_degrees`` checks a witness in every degree.
+in a window.  ``iter_isos`` lists every witness of the exact solver,
+``verify_iso_all_degrees`` checks a witness in every degree, ``int_roots``
+and ``rational_roots`` try every divisor that rational root theory allows,
+and ``gcd_mod`` is Euclid's algorithm over F_p.
 """
 
 import itertools
@@ -201,3 +203,61 @@ def verify_iso_all_degrees(witness, P1: RingPresentation, P2: RingPresentation) 
         if determinant(mat) not in (1, -1):
             return False
     return True
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, from its factorization by trial
+    division."""
+    n, divs, p = abs(n), [1], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+        p += 1
+    return sorted(divs)
+
+
+def int_roots(u: list[int]) -> list[int]:
+    """The integer roots of a nonzero integer polynomial."""
+    return [p for p, q in rational_roots(u) if q == 1]
+
+
+def rational_roots(u: list[int]) -> list[tuple[int, int]]:
+    """The rational roots p/q of a nonzero integer polynomial as reduced
+    pairs with q > 0, in increasing order: 0 when u_0 = 0, and the
+    fractions, of either sign, of a divisor of its lowest nonzero
+    coefficient by one of its leading coefficient at which it vanishes."""
+    low, lead = next(c for c in u if c), next(c for c in reversed(u) if c)
+    n = len(u) - 1
+    roots = [(0, 1)] if u[0] == 0 else []
+    for d in _divisors(low):
+        for q in _divisors(lead):
+            if math.gcd(d, q) == 1:
+                # q^n u(p/q), an integer
+                roots += [(p, q) for p in (d, -d)
+                          if sum(c * p ** i * q ** (n - i) for i, c in enumerate(u)) == 0]
+    return sorted(roots)
+
+
+def gcd_mod(polys: list[list[int]], p: int) -> list[int]:
+    """The monic gcd over F_p (p prime) of coefficient lists, lowest
+    coefficient first; [] when every list vanishes mod p."""
+    g: list[int] = []
+    for u in polys:
+        a, b = g, [c % p for c in u]
+        while b and b[-1] == 0:
+            b.pop()
+        while b:
+            a = a[:]
+            while len(a) >= len(b):
+                q, shift = a[-1] * pow(b[-1], -1, p) % p, len(a) - len(b)
+                for k, c in enumerate(b):
+                    a[shift + k] = (a[shift + k] - q * c) % p
+                while a and a[-1] == 0:
+                    a.pop()
+            a, b = b, a
+        g = [c * pow(a[-1], -1, p) % p for c in a] if a else []
+    return g

@@ -125,8 +125,14 @@ def test_dj_from_matrix_file(tmp_path, capsys):
 
 def test_dj_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
+    # entries and block sizes of any type but int: a float, a string, a bool
+    typed = [{"blocks": [1, 1], "rows": [[1.5, 0, 1, 0], [0, 1, 0, 1]]},
+             {"blocks": [1, 1], "rows": [["1", 0, 1, 0], [0, 1, 0, 1]]},
+             {"blocks": [1, 1], "rows": [[True, 0, 1, 0], [0, 1, 0, 1]]},
+             {"blocks": [1, 1.0], "rows": [[1, 0, 1, 0], [0, 1, 0, 1]]},
+             {"blocks": [1, True], "rows": [[1, 0, 1, 0], [0, 1, 0, 1]]}]
     for content in (json.dumps({"blocks": [1], "rows": [[1, 1], [0, 1]]}).encode(),
-                    b"not json", b"\xff\xfe"):
+                    b"not json", b"\xff\xfe", *(json.dumps(m).encode() for m in typed)):
         path.write_bytes(content)
         code = main(["dj", "--matrix", str(path)])
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import ast
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,22 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def _outside_imports(tree: ast.Module) -> list[str]:
+    """Modules imported anywhere in the tree, nested imports included,
+    that are neither in the standard library nor torusclass."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"torusclass"}]
+    return found
 
 
 def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
@@ -85,6 +102,13 @@ def test_sources_found():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_the_package(path):
+    # the package declares no runtime dependency
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _outside_imports(tree) == []
 
 
 def test_cli_import_loads_no_heavy_module():

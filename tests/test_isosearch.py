@@ -634,8 +634,9 @@ def test_rational_roots_of_a_product(roots, cofactor):
 
 
 def test_rational_roots_factor_no_large_constant(monkeypatch):
-    # the monic transform of 100003 y^3 + ... has constant 100003^2, past
-    # the trial-division limit; it is factored from its parts instead
+    # the monic transform of 100003 y^3 + ... has constant 100003^2, which
+    # trial division below 10^5 cannot split; the roots are lifted from a
+    # small prime, so no module is imported to factor it
     monkeypatch.setitem(sys.modules, "sympy", None)
     assert _rational_roots([1, 0, 0, 100003]) == []
     # (100003 y + 1)(y^2 + 1), and the same times y^2
@@ -645,8 +646,8 @@ def test_rational_roots_factor_no_large_constant(monkeypatch):
 
 def test_rational_roots_try_the_divisors_of_u0_times_a(monkeypatch):
     # (7 y + 17)(11 y + 12)(5 y - 2) times a sextic with no rational root:
-    # u_0 a = 11424 * 4620 has 576 divisors, each tried with both signs,
-    # where the divisors of u_0 a^8 (356,400 of them) were tried before
+    # u_0 a = 11424 * 4620 has 576 divisors, and a walk over them would try
+    # each with both signs; lifting from a small prime evaluates fewer points
     u = [-11424, 19912, 37404, -16108, -57088, -22510, 29544, 37364, 21342, 4620]
     tried = []
 
