@@ -194,9 +194,11 @@ def _int_roots(u: list[int]) -> list[int]:
     leading coefficient of s and modulo which s stays squarefree, every
     root of s mod p (found by trying 0..p-1) is simple, so Newton's
     iteration lifts it to the one root mod p^(2^k) above it (Hensel's
-    lemma) until the modulus exceeds 2|s_0|.  An integer root t of s
-    divides s_0 != 0, so it is the symmetric residue of the lift of t mod p;
-    each residue is kept when u(t) = 0 holds exactly.
+    lemma) until the modulus exceeds 2|s_0|; the inverse of s' at the root
+    is lifted by its own Newton step, so only the first is a modular
+    inversion.  An integer root t of s divides s_0 != 0, so it is the
+    symmetric residue of the lift of t mod p; each residue is kept when
+    u(t) = 0 holds exactly.
     """
     u = _trim(u[:])
     if not u:
@@ -219,10 +221,11 @@ def _int_roots(u: list[int]) -> list[int]:
         for t in range(p):
             if _ueval(s, t) % p:
                 continue
-            m = p
+            m, inv = p, pow(_ueval(ds, t), -1, p)
             while m <= 2 * abs(s[0]):
                 m *= m
-                t = (t - _ueval(s, t) * pow(_ueval(ds, t), -1, m)) % m
+                t = (t - _ueval(s, t) * inv) % m
+                inv = inv * (2 - _ueval(ds, t) * inv) % m
             t = t - m if 2 * t > m else t
             if _ueval(u, t) == 0:
                 roots.append(t)
@@ -243,8 +246,11 @@ def _rational_roots(u: list[int]) -> list[tuple[int, int]]:
         raise ValueError("zero polynomial has every root")
     a, n = u[-1], len(u) - 1
     monic = [c * a ** (n - 1 - i) for i, c in enumerate(u[:-1])] + [1]
-    sign = 1 if a > 0 else -1
-    return sorted((t // g, a // g) for t in _int_roots(monic) for g in [sign * math.gcd(t, a)])
+    roots = []
+    for t in _int_roots(monic):
+        g = math.gcd(t, a) if a > 0 else -math.gcd(t, a)
+        roots.append((t // g, a // g))
+    return sorted(roots)
 
 
 # --------------------------------------------------------------------------

@@ -98,9 +98,11 @@ class CharMatrix:
     def from_json(cls, data: dict) -> "CharMatrix":
         """The matrix of to_json's output; an entry or block size that is
         not an int (a float, a string or a bool) raises ValueError."""
-        rows, sizes = tuple(tuple(r) for r in data["rows"]), tuple(data["blocks"])
-        if any(type(v) is not int for v in sizes + sum(rows, ())):
-            raise ValueError("matrix entries and block sizes must be integers")
+        rows = tuple(tuple(r) for r in data["rows"])
+        sizes = tuple(data["blocks"])
+        for v in sizes + tuple(v for row in rows for v in row):
+            if type(v) is not int:
+                raise ValueError("matrix entries and block sizes must be integers")
         return cls(rows, SimplexBlocks(sizes))
 
 

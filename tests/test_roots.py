@@ -22,7 +22,8 @@ from conftest import fresh_python
 from reference import gcd_mod, int_roots, rational_roots
 from torusclass.classify import diffeomorphic
 from torusclass.invariants import ManifoldDescriptor
-from torusclass.isosearch import _gcd_is_constant_mod, _int_roots, _rational_roots
+from torusclass import isosearch
+from torusclass.isosearch import _gcd_is_constant_mod, _int_roots, _rational_roots, _ueval
 
 
 def _umul(u, v):
@@ -98,6 +99,24 @@ def test_gcd_is_constant_mod_on_the_cases_the_prime_choice_meets():
     # the least prime passes over 3 and 5, which divide the leading coefficient 15
     u = _umul([-2, 15], [1, 0, 1])
     assert _rational_roots(u) == rational_roots(u) == [(2, 15)]
+
+
+def test_lifting_evaluates_few_points(monkeypatch):
+    # (7 y + 17)(11 y + 12)(5 y - 2) times a sextic with no rational root,
+    # whose monic transform has a 111-bit constant term.  The least prime
+    # that keeps it squarefree is 13 (13 trials), with 5 roots mod 13.
+    # Each root costs one derivative for the first inverse, two evaluations
+    # in each of the 5 squarings past 2^112 and one exact check: 13 + 5 * 12.
+    u = [-11424, 19912, 37404, -16108, -57088, -22510, 29544, 37364, 21342, 4620]
+    tried = []
+
+    def counted(v, t):
+        tried.append(t)
+        return _ueval(v, t)
+
+    monkeypatch.setattr(isosearch, "_ueval", counted)
+    assert _rational_roots(u) == [(-17, 7), (-12, 11), (2, 5)]
+    assert len(tried) == 73
 
 
 def _compare_without_sympy(command: str, rho: int) -> dict:
