@@ -53,8 +53,7 @@ from functools import cached_property
 
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
-                                 canonicalize, evaluate_hom, graded_ranks, normal_form,
-                                 presentation_mod2)
+                                 canonicalize, graded_ranks, normal_form, presentation_mod2)
 
 
 class IsoWitness:
@@ -258,7 +257,8 @@ def _rational_roots(u: list[int]) -> list[tuple[int, int]]:
 
 
 class _Monomials:
-    """Normal forms of X^i W^j in one target ring for fixed images X, W.
+    """Normal forms of X^i W^j in one target ring for fixed images X, W,
+    and through them the image of any polynomial under x -> X, w -> W.
 
     Each is formed from a cached neighbour, X^(i-1) or X^i W^(j-1), by one
     product in the target's ``TruncatedProducts``.
@@ -284,6 +284,15 @@ class _Monomials:
             for b in range(b, j):
                 cache[(i, b + 1)] = mul(cache[(i, b)], self.W)
         return cache[(i, j)]
+
+    def image(self, g: GradedPoly) -> dict[tuple[int, int], int]:
+        """The terms of sum c X^a W^b over the terms c x^a w^b of g, with
+        zero coefficients kept and coefficients unreduced."""
+        out: dict[tuple[int, int], int] = {}
+        for (a, b), c in g.terms.items():
+            for key, v in self.nf(a, b).terms.items():
+                out[key] = out.get(key, 0) + c * v
+        return out
 
 
 def _line_image(g: GradedPoly, mono: _Monomials, s: int, e: int, sx: int, sw: int) -> dict:
@@ -383,16 +392,17 @@ def _basis_in_degree(P: RingPresentation, deg: int) -> list[tuple[int, int]]:
             if deg - P.w_degree * b <= 2 * P.ell]
 
 
-def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
-               P2: RingPresentation | None = None, *, rings=None) -> _Monomials | None:
-    """Soundness check: the images are homogeneous of their generators'
-    degrees, x^(l1+1) and the relation map to zero, the graded ranks are
-    equal, and the components of degree 2 and of degree deg w of the
-    target transform by integer matrices of determinant +-1.  `rings` are
-    the SearchRings of P1 and P2.  Returns the table of monomial images in
-    P2 (truthy) when the check passes, None when it fails; the witness is
-    left as it is.  The table holds the images these checks formed, and
-    check_preserves adds those it reads.
+def verify_iso(witness: IsoWitness, rings=None) -> _Monomials | None:
+    """Soundness check: the images lie in the target's domain and are
+    homogeneous of their generators' degrees, x^(l1+1) and the relation map
+    to zero, the graded ranks are equal, and the components of degree 2 and
+    of degree deg w of the target transform by integer matrices of
+    determinant +-1.  `rings` are the SearchRings of the presentations to
+    check on, by default those of the witness's source and target.  Returns
+    the table of monomial images in the target (truthy) when the check
+    passes, None when it fails; the witness is left as it is.  The table
+    holds the images these checks formed, and check_preserves adds those it
+    reads.
 
     The other degrees add nothing.  The first three checks make the map a
     well-defined graded ring homomorphism between rings of equal graded
@@ -400,25 +410,19 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
     in its image; they generate the target, so the map is onto, and an
     onto Z-linear map between free modules of equal finite rank is
     bijective.  Each of the two matrices is at most 2x2."""
-    R1, R2 = rings or (SearchRing(P1 if P1 is not None else witness.source),
-                       SearchRing(P2 if P2 is not None else witness.target))
+    R1, R2 = rings or (SearchRing(witness.source), SearchRing(witness.target))
     P1, P2 = R1.P, R2.P
     images = witness.images
     for name, deg in P1.gens:
         img = images.get(name)
-        if img is None or img.gens != P2.gens or not img.is_homogeneous(deg):
+        if (img is None or img.gens != P2.gens or img.domain is not P2.domain
+                or not img.is_homogeneous(deg)):
             return None
 
     mono = _Monomials(R2.core, images[P1.x_name], images[P1.w_name])
-    ell1 = P1.ell
-    if not mono.nf(ell1 + 1, 0).is_zero():
+    if not mono.nf(P1.ell + 1, 0).is_zero():
         return None
-    # x^(l1+1) maps to zero, so relation terms beyond it do too
-    rel_image = P2.zero()
-    for (a, b), c in P1.relation.terms.items():
-        if a <= ell1:
-            rel_image = rel_image + mono.nf(a, b) * c
-    if not rel_image.is_zero():
+    if not P2.zero()._clean(mono.image(P1.relation)).is_zero():
         return None
 
     if R1.ranks != R2.ranks:
@@ -435,30 +439,17 @@ def verify_iso(witness: IsoWitness, P1: RingPresentation | None = None,
     return mono
 
 
-def check_preserves(witness: IsoWitness, c1: NormalElement, c2: NormalElement,
-                    table: _Monomials | None = None) -> bool:
-    """True iff the witness carries the class c1 to c2.
+def check_preserves(table: _Monomials, c1: NormalElement, c2: NormalElement) -> bool:
+    """True iff the witness whose table verify_iso returned carries the
+    class c1 to c2.
 
-    Integer classes are pushed through the witness directly; mod-2 classes
-    through its mod-2 reduction.  `table` is what verify_iso returned for
-    this witness: given it, the caller vouches that c2 lives in the
-    witness's target or in its mod-2 reduction, and c1's image is read
-    from the table (mod-2 images by reducing coefficients).  Without it
-    the images go through evaluate_hom into c2's presentation.
+    The caller vouches that c2 lives in the witness's target or in its
+    mod-2 reduction.  c1's image is read from the table, mod-2 images by
+    reducing coefficients.
     """
     if c1.poly.domain is not c2.poly.domain:
         raise ValueError("classes live in different coefficient domains")
-    if table is not None:
-        image: dict[tuple[int, int], int] = {}
-        for (a, b), c in c1.poly.terms.items():
-            for key, v in table.nf(a, b).terms.items():
-                image[key] = image.get(key, 0) + c * v
-        return c2.poly._clean(image).terms == c2.poly.terms
-    images = witness.images
-    if c1.poly.domain is Domain.MOD2:
-        images = {n: GradedPoly(c2.presentation.gens, img.terms, Domain.MOD2)
-                  for n, img in images.items()}
-    return evaluate_hom(images, c1.poly, c2.presentation) == c2
+    return c2.poly._clean(table.image(c1.poly)).terms == c2.poly.terms
 
 
 def _matrix_witness(P1, P2, alpha, gamma, beta, delta) -> IsoWitness:
@@ -564,12 +555,11 @@ def _lines(R1: SearchRing, R2: SearchRing):
     """
     P1, P2 = R1.P, R2.P
     if P1.w_exponent == 1 and P2.w_exponent == 1 and P1.ell == P2.ell:
-        w1_rest = P1.relation - GradedPoly.monomial(P1.gens, (0, 1))
         for eps1 in (1, -1):
             ximg = P2.relation._clean({(1, 0): eps1})
-            # w1 is congruent to -(f1 - w1); push that through x -> eps1 x
-            wimg = evaluate_hom({P1.x_name: ximg, P1.w_name: GradedPoly.zero(P2.gens)},
-                                -w1_rest, P2).poly
+            # w1 is congruent to -(f1 - w1), a polynomial in x alone; x -> eps1 x
+            wimg = P2.relation._clean({(a, 0): -c * eps1 ** a
+                                       for (a, b), c in P1.relation.terms.items() if not b})
             witness = IsoWitness(P1, P2, {P1.x_name: ximg, P1.w_name: wimg},
                                  params={"eps": eps1})
             yield None, lambda t, w=witness: w, (_sigma_fixes,) * (eps1 < 0)
@@ -652,7 +642,7 @@ def _exact_candidates(search: PairSearch, groups):
                     witness = make(t)
                     verified[t] = witness, verify_iso(witness, rings=search.rings)
                 witness, table = verified[t]
-                if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in groups[i]):
+                if table and all(check_preserves(table, c1, c2) for c1, c2 in groups[i]):
                     yield i, witness
                     live.remove(i)
                     break

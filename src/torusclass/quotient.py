@@ -324,32 +324,3 @@ def graded_ranks(P: RingPresentation) -> dict[int, int]:
         ranks[d] = ranks.get(d, 0) + 1
     return ranks
 
-
-def evaluate_hom(images: Mapping[str, GradedPoly], p: GradedPoly,
-                 target: RingPresentation) -> NormalElement:
-    """Substitute generator images into p and reduce in the target ring.
-
-    Each image must be homogeneous of its generator's degree (zero counts
-    as homogeneous of any degree).  Powers of the images are built one
-    factor at a time in the target ring and shared between the terms of p.
-    """
-    for name, deg in p.gens:
-        img = images.get(name)
-        if img is None:
-            raise ValueError(f"no image for generator {name!r}")
-        if not img.is_homogeneous(deg):
-            raise ValueError(f"image of {name!r} is not homogeneous of degree {deg}")
-    core = TruncatedProducts(target)
-    powers = {name: [core.one, normal_form(images[name], target).poly] for name, _ in p.gens}
-    total: dict[tuple[int, int], int] = {}
-    for exps, coef in p.terms.items():
-        term = core.one
-        for (name, _), e in zip(p.gens, exps):
-            if e:
-                ladder = powers[name]
-                while len(ladder) <= e:
-                    ladder.append(core.mul(ladder[-1], ladder[1]))
-                term = core.mul(term, ladder[e])
-        for key, c in term.terms.items():
-            total[key] = total.get(key, 0) + coef * c
-    return NormalElement(target, core.one._clean(total))

@@ -7,28 +7,62 @@ the face-ring block monomials by repeated products, the descriptor
 relations and characteristic-class factors by ``+ * **`` in the free ring,
 the total characteristic classes by expanding their product formulas
 there, and ring isomorphisms by literal enumeration of generator images
-in a window.  ``iter_isos`` lists every witness of the exact solver,
-``verify_iso_all_degrees`` checks a witness in every degree, ``int_roots``
-and ``rational_roots`` try every divisor that rational root theory allows,
-and ``gcd_mod`` is Euclid's algorithm over F_p.
+in a window.  ``evaluate_hom`` pushes a polynomial through generator
+images by its own power ladders, where the library reads the image from
+the table that ``verify_iso`` returns.  ``iter_isos`` lists every witness
+of the exact solver, ``verify_iso_all_degrees`` checks a witness in every
+degree, ``int_roots`` and ``rational_roots`` try every divisor that
+rational root theory allows, and ``gcd_mod`` is Euclid's algorithm over
+F_p.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Mapping
 
 from torusclass import isosearch
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor
 from torusclass.isosearch import SearchRing, check_preserves, verify_iso
 from torusclass.quasitoric import FaceRingPresentation
-from torusclass.quotient import (RingPresentation, canonicalize, evaluate_hom, graded_ranks,
-                                 monomial_basis, normal_form)
+from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
+                                 canonicalize, graded_ranks, monomial_basis, normal_form)
 
 
 def ring_equal(p: GradedPoly, q: GradedPoly, P: RingPresentation) -> bool:
     """True iff p and q represent the same coset."""
     return normal_form(p, P) == normal_form(q, P)
+
+
+def evaluate_hom(images: Mapping[str, GradedPoly], p: GradedPoly,
+                 target: RingPresentation) -> NormalElement:
+    """Substitute generator images into p and reduce in the target ring.
+
+    Each image must be homogeneous of its generator's degree (zero counts
+    as homogeneous of any degree).  Powers of the images are built one
+    factor at a time in the target ring and shared between the terms of p.
+    """
+    for name, deg in p.gens:
+        img = images.get(name)
+        if img is None:
+            raise ValueError(f"no image for generator {name!r}")
+        if not img.is_homogeneous(deg):
+            raise ValueError(f"image of {name!r} is not homogeneous of degree {deg}")
+    core = TruncatedProducts(target)
+    powers = {name: [core.one, normal_form(images[name], target).poly] for name, _ in p.gens}
+    total: dict[tuple[int, int], int] = {}
+    for exps, coef in p.terms.items():
+        term = core.one
+        for (name, _), e in zip(p.gens, exps):
+            if e:
+                ladder = powers[name]
+                while len(ladder) <= e:
+                    ladder.append(core.mul(ladder[-1], ladder[1]))
+                term = core.mul(term, ladder[e])
+        for key, c in term.terms.items():
+            total[key] = total.get(key, 0) + coef * c
+    return NormalElement(target, core.one._clean(total))
 
 
 def additive_rank(P: RingPresentation) -> int:
@@ -137,7 +171,7 @@ def enum_isos(P1: RingPresentation, P2: RingPresentation, preserve=(), bound: in
                      in itertools.product((1, -1), (1, -1), _spiral(bound)))
     for witness in witnesses:
         table = verify_iso(witness, rings=(R1, R2))
-        if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in preserve):
+        if table and all(check_preserves(table, c1, c2) for c1, c2 in preserve):
             yield witness
 
 
@@ -158,7 +192,7 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
         for t in solve(classes):
             witness = make(t)
             table = verify_iso(witness, rings=rings)
-            if table and all(check_preserves(witness, c1, c2, table) for c1, c2 in preserve):
+            if table and all(check_preserves(table, c1, c2) for c1, c2 in preserve):
                 yield witness
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import fresh_python
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "torusclass").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "torusclass").glob("*.py"))
+BENCH_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -46,17 +48,13 @@ def _outside_imports(tree: ast.Module) -> list[str]:
     return found
 
 
-def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level _private functions and classes that no code in the
-    sources refers to outside their own definition."""
-    defined = {}  # name -> module
-    for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = module
+def _references(trees, strings: bool = False) -> set[str]:
+    """Names that code in the trees refers to outside the top-level
+    definition of the same name: as a name, an attribute or an imported
+    name, and with `strings` also as a string (a function looked up by
+    name)."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         for top in tree.body:
             own = getattr(top, "name", None)  # a definition's references to itself
             for node in ast.walk(top):
@@ -66,10 +64,28 @@ def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]
                     name = node.attr
                 elif isinstance(node, ast.alias):
                     name = node.name
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
                 else:
                     continue
                 if name != own:
                     referenced.add(name)
+    return referenced
+
+
+def _unreferenced_definitions(trees: dict[str, ast.Module], private: bool,
+                              callers=()) -> list[str]:
+    """Module-level functions and classes, _private or public, that no code
+    in the sources refers to outside their own definition, and that no code
+    in `callers` refers to, by name or by a string."""
+    defined = {}  # name -> module
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")
+                    and node.name.startswith("_") == private):
+                defined[node.name] = module
+    referenced = _references(trees.values()) | _references(callers, strings=True)
     return [f"{module}: {name}" for name, module in defined.items() if name not in referenced]
 
 
@@ -126,9 +142,21 @@ def test_cli_import_loads_no_heavy_module():
     assert out.split("\n")[:2] == ["[]", "[]"]
 
 
+def _trees(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
 def test_every_private_definition_is_used():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    assert _unreferenced_private_definitions(trees) == []
+    assert _unreferenced_definitions(_trees(SOURCES), private=True) == []
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a public function or class that only the tests call belongs in
+    # tests/reference.py; the benchmark harness counts as a caller, also of
+    # what its tracer wraps by name
+    bench = _trees(BENCH_SOURCES).values()
+    assert bench
+    assert _unreferenced_definitions(_trees(SOURCES), private=False, callers=bench) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -3,14 +3,14 @@ import time
 import pytest
 
 from conftest import grid_descriptors
-from reference import (cohomology_expanded, pontrjagin_factors, pontrjagin_product,
-                       stiefel_whitney_factors, stiefel_whitney_product)
+from reference import (cohomology_expanded, evaluate_hom, pontrjagin_factors,
+                       pontrjagin_product, stiefel_whitney_factors, stiefel_whitney_product)
 from torusclass.intpoly import Domain
 from torusclass.invariants import (CharClassReport, DescriptorError,
                                    ManifoldDescriptor, _pontrjagin_factors,
                                    _stiefel_whitney_factors, cohomology, dimension,
                                    pontrjagin, report, stiefel_whitney)
-from torusclass.quotient import evaluate_hom, normal_form, presentation_mod2
+from torusclass.quotient import normal_form, presentation_mod2
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)

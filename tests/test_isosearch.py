@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_descriptors, rebuilt_identically
-from reference import enum_isos, iter_isos
+from reference import enum_isos, evaluate_hom, iter_isos
 from torusclass import classify, isosearch
 from torusclass.classify import compare_report, ring_key
 from torusclass.intpoly import Domain, GradedPoly
@@ -21,8 +21,7 @@ from torusclass.isosearch import (FOUND, NO_ISO, IsoWitness, PairSearch, SearchR
                                   check_preserves, find_iso, find_iso_per_class,
                                   verify_iso)
 from torusclass.quotient import (NormalElement, RingPresentation, TruncatedProducts,
-                                 canonicalize, evaluate_hom, graded_ranks, normal_form,
-                                 presentation_mod2)
+                                 canonicalize, graded_ranks, normal_form, presentation_mod2)
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)
@@ -67,6 +66,9 @@ def test_univariate_presentations_isomorphic():
     res = find_iso(P1, P2)
     assert res.found and verify_iso(res.witness)
     assert res.witness.images["w"] == GradedPoly(gens, {(2, 0): -2})
+    # both maps x -> eps x are witnesses, w going to -2 (eps x)^2
+    assert [(w.params["eps"], w.images["w"]) for w in iter_isos(P1, P2)] == [
+        (1, GradedPoly(gens, {(2, 0): -2})), (-1, GradedPoly(gens, {(2, 0): -2}))]
 
 
 # --- degree-2 pairs (Hirzebruch-type checks, hand-verified witnesses) -----------
@@ -122,7 +124,7 @@ def test_even_twist_reaches_trivial_class():
 def test_verify_identity_true():
     P = ring(B(3, 2, 1, 3))
     w = IsoWitness(P, P, {"x": P.x(), "z": P.w()})
-    assert verify_iso(w, P, P)
+    assert verify_iso(w)
 
 
 def test_verify_rejects_broken_relation():
@@ -130,7 +132,7 @@ def test_verify_rejects_broken_relation():
     P1 = ring(B(3, 0, 2, 0))
     P2 = ring(B(3, 1, 2, 0))
     w = IsoWitness(P1, P2, {"x": P2.x(), "z": P2.w()})
-    assert not verify_iso(w, P1, P2)
+    assert not verify_iso(w)
 
 
 def test_verify_rejects_non_nilpotent_x_image():
@@ -138,13 +140,22 @@ def test_verify_rejects_non_nilpotent_x_image():
     # unimodular on the basis, but (x + y)^2 = 2xy, so x^2 = 0 is not respected
     P = ring(A(1, 0, 1, 1))
     w = IsoWitness(P, P, {"x": P.x() + P.w(), "y": P.w()})
-    assert not verify_iso(w, P, P)
+    assert not verify_iso(w)
 
 
 def test_verify_rejects_non_unimodular():
     P = ring(A(1, 0, 1, 1))
     w = IsoWitness(P, P, {"x": 2 * P.x(), "y": P.w()})
-    assert not verify_iso(w, P, P)
+    assert not verify_iso(w)
+
+
+def test_verify_rejects_an_image_in_another_domain():
+    # a mod-2 image of x into an integer ring is not a witness: None, not a raise
+    P = ring(A(2, 1, 1, 1))
+    Q = presentation_mod2(P)
+    assert Q.gens == P.gens
+    w = IsoWitness(P, P, {"x": Q.x(), "y": P.w()})
+    assert verify_iso(w) is None
 
 
 # --- check_preserves -----------------------------------------------------------------
@@ -153,9 +164,10 @@ def test_preserves_equal_classes():
     d = B(3, 2, 1, 3)
     P = ring(d)
     w = IsoWitness(P, P, {"x": P.x(), "z": P.w()})
-    assert verify_iso(w, P, P)
+    table = verify_iso(w)
+    assert table
     p = pontrjagin(d)
-    assert check_preserves(w, p, p)
+    assert check_preserves(table, p, p)
 
 
 def test_identity_does_not_preserve_different_p1():
@@ -163,56 +175,58 @@ def test_identity_does_not_preserve_different_p1():
     P1, P2 = ring(d1), ring(d2)
     assert P1 == P2  # both canonicalize to the same presentation
     w = IsoWitness(P1, P2, {"x": P2.x(), "z": P2.w()})
-    assert verify_iso(w, P1, P2)
-    assert not check_preserves(w, pontrjagin(d1), pontrjagin(d2))
+    table = verify_iso(w)
+    assert table
+    assert not check_preserves(table, pontrjagin(d1), pontrjagin(d2))
 
 
 def test_sign_flip_preserves_p():
     d = B(4, 2, 2, 0)
     P = ring(d)
     w = IsoWitness(P, P, {"x": -P.x(), "z": P.w()})
-    assert verify_iso(w, P, P)
-    assert check_preserves(w, pontrjagin(d), pontrjagin(d))
+    table = verify_iso(w)
+    assert table
+    assert check_preserves(table, pontrjagin(d), pontrjagin(d))
+    assert check_preserves(table, stiefel_whitney(d), stiefel_whitney(d))
 
 
 def test_preserves_domain_mismatch_raises():
     d = B(3, 2, 1, 3)
     P = ring(d)
-    w = IsoWitness(P, P, {"x": P.x(), "z": P.w()})
+    table = verify_iso(IsoWitness(P, P, {"x": P.x(), "z": P.w()}))
     with pytest.raises(ValueError):
-        check_preserves(w, pontrjagin(d), stiefel_whitney(d))
+        check_preserves(table, pontrjagin(d), stiefel_whitney(d))
 
 
 def test_mod2_preservation_uses_reduced_witness():
     d1, d2 = B(1, 1, 1, 1), B(1, 0, 1, 1)
     P1, P2 = ring(d1), ring(d2)
     w = IsoWitness(P1, P2, {"x": P2.x(), "z": P2.w()})
-    assert verify_iso(w, P1, P2)
-    assert check_preserves(w, pontrjagin(d1), pontrjagin(d2))  # both are 1
-    assert not check_preserves(w, stiefel_whitney(d1), stiefel_whitney(d2))
+    table = verify_iso(w)
+    assert table
+    assert check_preserves(table, pontrjagin(d1), pontrjagin(d2))  # both are 1
+    assert not check_preserves(table, stiefel_whitney(d1), stiefel_whitney(d2))
 
 
-def _count_evaluate_hom(monkeypatch) -> list:
-    orig, calls = isosearch.evaluate_hom, []
+def _pushed(witness, c1, c2) -> bool:
+    """Whether the reference evaluate_hom carries c1 to c2 under the
+    witness's images, reduced mod 2 for a mod-2 class."""
+    images = witness.images
+    if c1.poly.domain is Domain.MOD2:
+        images = {n: GradedPoly(c2.presentation.gens, img.terms, Domain.MOD2)
+                  for n, img in images.items()}
+    return evaluate_hom(images, c1.poly, c2.presentation) == c2
 
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
 
-    monkeypatch.setattr(isosearch, "evaluate_hom", counted)
-    return calls
-
-
-def test_image_table_agrees_with_evaluate_hom(monkeypatch):
+def test_image_table_agrees_with_evaluate_hom():
     # the table verify_iso returns for the witnesses of the ring-isomorphic
     # GRID4 pairs: p (integer) and w (mod 2) read from it must match the
-    # same images pushed through evaluate_hom
+    # same images pushed through the reference evaluate_hom
     by_ring = {}
     for d in grid_descriptors(4, 4, 3):
         by_ring.setdefault(ring_key(d), []).append(d)
     pairs = [pair for group in by_ring.values() for pair in itertools.combinations(group, 2)]
     classes = {}
-    calls = _count_evaluate_hom(monkeypatch)
     seen = set()
     for d1, d2 in pairs[::4]:
         witness = find_iso(ring(d1), ring(d2)).witness
@@ -220,29 +234,17 @@ def test_image_table_agrees_with_evaluate_hom(monkeypatch):
         assert table is not None
         for cls in (pontrjagin, stiefel_whitney):
             c1, c2 = (classes.setdefault((cls, d), cls(d)) for d in (d1, d2))
-            calls.clear()
-            from_table = check_preserves(witness, c1, c2, table)
-            assert not calls
-            assert check_preserves(witness, c1, c2) == from_table and calls, (d1, d2, cls)
+            from_table = check_preserves(table, c1, c2)
+            assert _pushed(witness, c1, c2) == from_table, (d1, d2, cls)
             seen.add((cls, from_table))
     assert len(seen) == 4
-
-
-def test_unverified_witness_falls_back_to_evaluate_hom(monkeypatch):
-    d = B(4, 2, 2, 0)
-    P = ring(d)
-    w = IsoWitness(P, P, {"x": -P.x(), "z": P.w()})
-    calls = _count_evaluate_hom(monkeypatch)
-    assert check_preserves(w, pontrjagin(d), pontrjagin(d))
-    assert check_preserves(w, stiefel_whitney(d), stiefel_whitney(d))
-    assert len(calls) == 2
 
 
 def _slots(witness):
     return [getattr(witness, name) for name in IsoWitness.__slots__]
 
 
-def test_verify_on_other_presentations_leaves_no_table(monkeypatch):
+def test_verify_on_other_presentations_leaves_no_table():
     # verify_iso writes nothing: every slot of the witness stays the same
     # object, whatever presentations it is checked on and whatever the outcome
     d1, d2 = A(2, 1, 1, 2), A(2, -1, 1, 2)
@@ -254,24 +256,23 @@ def test_verify_on_other_presentations_leaves_no_table(monkeypatch):
     x = P1.x()
     raw = RingPresentation("x", "y", 2, 2, P1.relation + x * x * x)
     assert raw != P1 and canonicalize(raw) == P1
-    assert verify_iso(witness, raw, P2)
+    assert verify_iso(witness, rings=(SearchRing(raw), SearchRing(P2)))
     table = verify_iso(witness)
     assert table is not None
-    assert verify_iso(witness, P1, ring(A(2, 3, 1, 2))) is None
+    assert verify_iso(witness, rings=(SearchRing(P1), SearchRing(ring(A(2, 3, 1, 2))))) is None
     assert all(now is then for now, then in zip(_slots(witness), before))
-    calls = _count_evaluate_hom(monkeypatch)
-    assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2))
-    assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2))
-    assert len(calls) == 2
-    assert check_preserves(witness, pontrjagin(d1), pontrjagin(d2), table)
-    assert check_preserves(witness, stiefel_whitney(d1), stiefel_whitney(d2), table)
-    assert len(calls) == 2
+    for cls in (pontrjagin, stiefel_whitney):
+        c1, c2 = cls(d1), cls(d2)
+        assert _pushed(witness, c1, c2)
+        assert check_preserves(table, c1, c2)
 
 
-def test_mod2_class_of_another_ring_of_the_same_shape_falls_back(monkeypatch):
+def test_mod2_table_answers_for_the_targets_own_reduction():
     # P2 = Z[x,y]/<x^2, y^2> and Q = F2[x,y]/<x^2, y^2 + x*y> share their
     # shape, not their reduction: x*y goes to y(y - x), which is x*y in P2
-    # mod 2 but 0 in Q, so an element of Q is checked without the table
+    # mod 2 but 0 in Q.  The table reads images in P2's reduction, so it
+    # answers for a class there and not for one in Q: the caller vouches
+    # for c2's ring
     P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
     witness = find_iso(P1, P2).witness
     assert witness.text() == "x -> y, y -> y - x"
@@ -280,12 +281,13 @@ def test_mod2_class_of_another_ring_of_the_same_shape_falls_back(monkeypatch):
     assert Q.gens == Q2.gens and Q.ell == Q2.ell and Q != Q2
     xy = {(1, 1): 1}
     c1 = NormalElement(Q1, Q1.poly(xy))
-    calls = _count_evaluate_hom(monkeypatch)
-    assert check_preserves(witness, c1, NormalElement(Q2, Q2.poly(xy)), table)
-    assert not calls  # P2's own reduction, built anew, is read from the table
-    assert not check_preserves(witness, c1, NormalElement(Q, Q.poly(xy)))
-    assert check_preserves(witness, c1, NormalElement(Q, Q.zero()))
-    assert len(calls) == 2
+    # P2's own reduction, built anew, is read from the table
+    assert check_preserves(table, c1, NormalElement(Q2, Q2.poly(xy)))
+    assert _pushed(witness, c1, NormalElement(Q2, Q2.poly(xy)))
+    # in Q the image of x*y is 0, which the table, reading P2, does not see
+    assert _pushed(witness, c1, NormalElement(Q, Q.zero()))
+    assert not _pushed(witness, c1, NormalElement(Q, Q.poly(xy)))
+    assert check_preserves(table, c1, NormalElement(Q, Q.poly(xy)))
 
 
 def test_witness_images_rebuild_identically():
@@ -350,7 +352,7 @@ def test_cached_witness_verified_elsewhere_gives_the_same_answers():
     before = _slots(witness)
     raw = RingPresentation("x", "z", 4, 3, P1.relation + P1.x() ** 4)
     assert raw != P1 and canonicalize(raw) == P1
-    assert verify_iso(witness, raw, P2)
+    assert verify_iso(witness, rings=(SearchRing(raw), SearchRing(P2)))
     assert all(now is then for now, then in zip(_slots(witness), before))
     assert ask(search) == expected
     assert find_iso_per_class(search, classes)[0].witness is witness

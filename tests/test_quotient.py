@@ -4,12 +4,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from reference import additive_rank, ring_equal
+from reference import additive_rank, evaluate_hom, ring_equal
 from torusclass.intpoly import Domain, GradedPoly
 from torusclass.invariants import ManifoldDescriptor, pontrjagin
 from torusclass.quotient import (RingPresentation, TruncatedProducts, canonicalize,
-                                 evaluate_hom, graded_ranks, monomial_basis,
-                                 normal_form, presentation_mod2, reduced_product)
+                                 graded_ranks, monomial_basis, normal_form,
+                                 presentation_mod2, reduced_product)
 
 
 def sphere_pres(ell, rho, k1):

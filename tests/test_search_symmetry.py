@@ -16,15 +16,14 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_descriptors
-from reference import iter_isos
+from reference import evaluate_hom, iter_isos
 from torusclass import isosearch
 from torusclass.classify import cohomology_isomorphic
 from torusclass.intpoly import GradedPoly
 from torusclass.invariants import ManifoldDescriptor, cohomology, pontrjagin, stiefel_whitney
 from torusclass.isosearch import (FOUND, NO_ISO, PairSearch, SearchRing, find_iso,
                                   find_iso_per_class)
-from torusclass.quotient import (RingPresentation, evaluate_hom, normal_form,
-                                 presentation_mod2)
+from torusclass.quotient import RingPresentation, normal_form, presentation_mod2
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)

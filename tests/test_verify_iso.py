@@ -52,4 +52,4 @@ def test_generator_degrees_decide_as_every_degree_does(case):
     P1, P2, witness = case
     expected = verify_iso_all_degrees(witness, P1, P2)
     event(f"accepted: {expected}")
-    assert bool(verify_iso(witness, P1, P2)) == expected
+    assert bool(verify_iso(witness)) == expected
