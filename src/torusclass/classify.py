@@ -25,14 +25,13 @@ Every ring-equivalence verdict produced here is cross-validated against
 the independent isosearch oracle in the acceptance suite.
 
 compare_report keeps all its state in one CompareCache: each side's
-report and SearchRing for the 512 most recently compared descriptors (a
-grid pass pairs each descriptor with about a dozen others; an entry holds
-about 4 KB), and an isosearch.PairSearch for the 64 most recently used
-ordered ring pairs, keyed by their canonical presentations.  p and w are
-decided by one walk of that state (find_iso_per_class), each boolean
-still the exact solver's existence answer for its class alone.
+classes for the 512 most recently compared descriptors, stated on one
+SearchRing per ring in use (a grid pass pairs each descriptor with about
+a dozen others), and an isosearch.PairSearch for the 64 most recently
+used ordered ring pairs, keyed by their canonical presentations.  p and w
+are the class groups [[p], [w]] of one walk of that state.
 Descriptors with equal rings share a state, which keeps its answer to
-every class pair asked: in a compare_pairs pass of the benchmark 84-86%
+every class group asked: in a compare_pairs pass of the benchmark 84-86%
 of the pairs reuse a state and 46-47% of the p and 80-81% of the w
 questions are lookups, for ~1.6 MB of peak memory.  invariants.report
 itself is left uncached: table visits every descriptor once.
@@ -46,9 +45,11 @@ confirms on every tested grid.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
-from torusclass.invariants import ManifoldDescriptor, dimension, report
+from torusclass.invariants import (ManifoldDescriptor, cohomology, dimension, pontrjagin,
+                                   stiefel_whitney)
 from torusclass.isosearch import PairSearch, SearchRing, find_iso_per_class
 
 
@@ -294,33 +295,35 @@ class CompareReport:
         }
 
 
-def _entry(d: ManifoldDescriptor):
-    r = report(d)
-    return r, SearchRing(r.cohomology)  # canonical as built
-
-
 class CompareCache:
     """compare_report's kept state (see the module docstring).  entry(d)
-    is d's report and the SearchRing of its ring; `searches` maps ordered
-    pairs of canonical presentations to their PairSearch, least recently
-    used first.  A search state is out of the store while in use, so a
-    search that raises leaves nothing behind."""
+    is d's p and w, stated on the SearchRing of its ring, which `rings`
+    shares while in use; `searches` maps ordered pairs of canonical
+    presentations to their PairSearch, least recently used first.  A search
+    state is out of the store while in use, so one that raises leaves none."""
 
     DESCRIPTORS = 512
     RING_PAIRS = 64
 
     def __init__(self):
-        self.entry = lru_cache(maxsize=self.DESCRIPTORS)(_entry)
+        self.entry = lru_cache(maxsize=self.DESCRIPTORS)(self._entry)
+        self.rings = weakref.WeakValueDictionary()
         self.searches = {}
+
+    def _entry(self, d: ManifoldDescriptor):
+        P = cohomology(d)  # canonical as built
+        ring = self.rings.get(P)
+        if ring is None:
+            ring = self.rings[P] = SearchRing(P)
+        return pontrjagin(d, ring.P), stiefel_whitney(d, ring.P), ring
 
     def classes_preserved(self, d: ManifoldDescriptor, dp: ManifoldDescriptor) -> list[bool]:
         """Whether a ring isomorphism carries the Pontrjagin class, and
         whether one carries the Stiefel-Whitney class, of d to that of dp."""
-        (r1, s1), (r2, s2) = self.entry(d), self.entry(dp)
+        (p1, w1, s1), (p2, w2, s2) = self.entry(d), self.entry(dp)
         key = s1.P, s2.P
         search = self.searches.pop(key, None) or PairSearch(s1, s2)
-        results = find_iso_per_class(search, [(r1.pontrjagin, r2.pontrjagin),
-                                              (r1.stiefel_whitney, r2.stiefel_whitney)])
+        results = find_iso_per_class(search, [[(p1, p2)], [(w1, w2)]])
         self.searches[key] = search
         if len(self.searches) > self.RING_PAIRS:
             del self.searches[next(iter(self.searches))]

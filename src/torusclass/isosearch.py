@@ -10,10 +10,10 @@ first: a rational direction root of the nilpotency forms of
 (p x + q w)^(l+1) when w has degree 2, and +-x otherwise.  The image of w
 then runs along a line W0 + tU, with U = X in degree 2 and U = x^d in
 degree 2d, so x^a w^b goes to sum_k C(b, k) t^k X^a U^k W0^(b-k).  The
-relation and every preserved integer class become integer polynomials in
+relation and every integer class asked become integer polynomials in
 t alone.  Their integer roots, and the rational direction roots, are
 lifted from the roots modulo a small prime by Newton's iteration
-(Hensel's lemma), so no number is factored; preserved mod-2 classes keep
+(Hensel's lemma), so no number is factored; mod-2 classes asked keep
 the roots at which their polynomials are even.  Exhaustion is a
 definite "no isomorphism", so every answer is "found" or "no".
 
@@ -31,12 +31,12 @@ so no first witness moves and no answer changes.  A line's relation
 conditions are formed on its first solve, so a line every group skips
 costs nothing.
 
-Both searches walk a PairSearch, the solver's state for one ordered ring
-pair: its lines, relation roots, verified witnesses with their image
-tables, and answers per class pair.  find_iso builds a fresh one per
-call; find_iso_per_class answers from the one it is handed, which a
-caller may keep (classify.compare_report does).  No state lives in this
-module, and a witness carries nothing but its generator images.
+find_iso_per_class, the one entry for class questions, checks each
+class's ring and walks a PairSearch, the solver's state for one ordered
+pair of canonical integer rings (lines, relation roots, verified witnesses
+with their image tables, answers per class group), which a caller may
+keep; find_iso asks it the empty group on a fresh state.  No state lives
+in this module, and a witness carries nothing but its generator images.
 
 Every product in the target ring goes through ``TruncatedProducts``.
 Every candidate is verified before it is reported (relations map to zero
@@ -443,9 +443,9 @@ def check_preserves(table: _Monomials, c1: NormalElement, c2: NormalElement) -> 
     """True iff the witness whose table verify_iso returned carries the
     class c1 to c2.
 
-    The caller vouches that c2 lives in the witness's target or in its
-    mod-2 reduction.  c1's image is read from the table, mod-2 images by
-    reducing coefficients.
+    c2 must live in the witness's target or in its mod-2 reduction, which
+    find_iso_per_class checks.  c1's image is read from the table, mod-2
+    images by reducing coefficients.
     """
     if c1.poly.domain is not c2.poly.domain:
         raise ValueError("classes live in different coefficient domains")
@@ -599,10 +599,14 @@ class PairSearch:
     solve), its make(t), by t the witness with the table verify_iso
     returned for it (None where it rejects), and the fixedness tests of
     the automorphisms that map an earlier line onto it.  `answers` is
-    filled by find_iso_per_class: class pair key (see _answer_key) -> the
-    first witness that preserves it, or None when none does."""
+    filled by find_iso_per_class: class group, by value -> the first
+    witness that carries the group, or None.  The rings must be canonical
+    integer presentations."""
 
     def __init__(self, R1: SearchRing, R2: SearchRing):
+        if not (R1.P.domain is R2.P.domain is Domain.INT and R1.P.is_canonical()
+                and R2.P.is_canonical()):
+            raise ValueError("isomorphism search runs over integer coefficients")
         self.rings = R1, R2
         self._pending = _lines(R1, R2) if R1.ranks == R2.ranks else iter(())
         self._done = []
@@ -619,8 +623,8 @@ class PairSearch:
 def _exact_candidates(search: PairSearch, groups):
     """(i, witness) for the first verified witness of the exact solver, in
     its canonical order, that carries each class of groups[i] to its
-    partner (canonical rings of equal graded ranks, each class in its
-    side's presentation or that presentation's mod-2 reduction).  A line's
+    partner (each class in its side's presentation or that presentation's
+    mod-2 reduction, as find_iso_per_class checks).  A line's
     relation roots and witnesses serve every group; mod-2 classes are
     lifted to Z once.  A line is skipped for a group when an automorphism
     that maps an earlier line onto it fixes every target class of the
@@ -654,64 +658,51 @@ def _exact_candidates(search: PairSearch, groups):
 # public search
 
 
-def _canonical_pair(P1: RingPresentation, P2: RingPresentation):
-    """SearchRings of the canonical forms of two integer presentations, or
-    None when their graded ranks differ, so that no isomorphism exists."""
+def find_iso(P1: RingPresentation, P2: RingPresentation) -> IsoSearchResult:
+    """Search exactly for a graded ring isomorphism P1 -> P2 between integer
+    presentations: 'no' at once when their graded ranks differ, else the
+    identity if it verifies, else find_iso_per_class's empty group."""
     if P1.domain is not Domain.INT or P2.domain is not Domain.INT:
         raise ValueError("isomorphism search runs over integer coefficients")
     R1, R2 = SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2))
-    return (R1, R2) if R1.ranks == R2.ranks else None
-
-
-def find_iso(P1: RingPresentation, P2: RingPresentation, preserve=()) -> IsoSearchResult:
-    """Search exactly for a graded ring isomorphism P1 -> P2.
-
-    `preserve` is an optional sequence of (class in P1, class in P2) pairs
-    the isomorphism must respect (integer classes directly, mod-2 classes
-    through reduction).  A class whose presentation, once canonicalized,
-    is neither its side's canonical presentation nor that one's mod-2
-    reduction raises ValueError.  Absence of a witness is a value: status
-    'no' once every line is exhausted.
-    """
-    for pair in preserve:
-        for c, P in zip(pair, map(canonicalize, (P1, P2))):
-            if canonicalize(c.presentation) not in (P, presentation_mod2(P)):
-                raise ValueError(f"class {c} lives neither in {P} nor in its mod-2 reduction")
-    rings = _canonical_pair(P1, P2)
-    if rings is None:
+    if R1.ranks != R2.ranks:
         return IsoSearchResult(NO_ISO)
-    R1, R2 = rings
     P1, P2 = R1.P, R2.P
-    if not preserve and P1 == P2:
+    if P1 == P2:
         identity = IsoWitness(P1, P2, {P1.x_name: P2.x(), P1.w_name: P2.w()},
                               params={"identity": True})
-        if verify_iso(identity, rings=rings):
+        if verify_iso(identity, rings=(R1, R2)):
             return IsoSearchResult(FOUND, identity)
-
-    for _, witness in _exact_candidates(PairSearch(R1, R2), [preserve]):
-        return IsoSearchResult(FOUND, witness)
-    return IsoSearchResult(NO_ISO)
+    return find_iso_per_class(PairSearch(R1, R2), [()])[0]
 
 
-def _answer_key(c1: NormalElement, c2: NormalElement) -> tuple:
-    """The class pair by value: its domain and both term sets."""
-    return (c1.poly.domain, tuple(sorted(c1.poly.terms.items())),
-            tuple(sorted(c2.poly.terms.items())))
-
-
-def find_iso_per_class(search: PairSearch, classes) -> list[IsoSearchResult]:
-    """What find_iso(R1.P, R2.P, [c]) returns for each class pair c, from
-    one walk of the lines of `search`, whose rings R1, R2 hold canonical
-    integer presentations; each class lives in its side's presentation or
-    that one's mod-2 reduction.  The answers are kept in `search` by the
-    class pair's domain and terms, on which alone they then depend, once
-    the walk has finished: a class pair asked again costs one lookup, and
-    a walk that raises records nothing.  Witnesses are shared."""
+def find_iso_per_class(search: PairSearch, groups) -> list[IsoSearchResult]:
+    """For each group of (class of R1, class of R2) pairs, the first verified
+    witness of `search` that carries each class to its partner, or 'no'
+    (for the empty group: any isomorphism), from one walk of the lines.
+    A class must live in its side's presentation or that one's mod-2
+    reduction, maybe stated on another presentation of the ring; else
+    ValueError, before any lookup.  The answers are kept in `search` by
+    the groups' domains and terms, on which alone they then depend, once
+    the walk has finished: a group asked again costs one lookup, and a
+    walk that raises records nothing."""
+    R1, R2 = search.rings
+    keys = []  # each group by value: per pair, its domain and both term sets
+    for group in groups:
+        key = []
+        for c1, c2 in group:
+            for c, P in (c1, R1.P), (c2, R2.P):
+                Q = c.presentation  # by identity first: compare_report states classes on P
+                if (Q is not P and Q is not presentation_mod2(P)
+                        and canonicalize(Q) not in (P, presentation_mod2(P))):
+                    raise ValueError(f"class {c} lives neither in {P} nor in its mod-2 reduction")
+            key.append((c1.poly.domain, tuple(sorted(c1.poly.terms.items())),
+                        tuple(sorted(c2.poly.terms.items()))))
+        keys.append(tuple(key))
     answers = search.answers
-    keys = [_answer_key(c1, c2) for c1, c2 in classes]
-    unseen = {k: c for k, c in zip(keys, classes) if k not in answers}
+    unseen = {k: g for k, g in zip(keys, groups) if k not in answers}
     if unseen:
-        found = dict(_exact_candidates(search, [[c] for c in unseen.values()]))
+        found = dict(_exact_candidates(search, list(unseen.values())))
         for i, k in enumerate(unseen):
             answers[k] = found.get(i)
     return [IsoSearchResult(NO_ISO) if answers[k] is None else IsoSearchResult(FOUND, answers[k])

@@ -24,7 +24,8 @@ from torusclass.intpoly import Domain, GradedPoly
 class RingPresentation:
     """Presentation of Z[x,w]/<x^(ell+1), relation> with relation monic in w."""
 
-    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain", "w_exponent", "_hash")
+    __slots__ = ("x_name", "w_name", "w_degree", "ell", "relation", "domain", "w_exponent", "_hash",
+                 "_mod2")
 
     def __init__(self, x_name: str, w_name: str, w_degree: int, ell: int,
                  relation: GradedPoly, domain: Domain = Domain.INT):
@@ -43,7 +44,7 @@ class RingPresentation:
         self.ell = ell
         self.relation = relation
         self.domain = domain
-        self._hash = None
+        self._hash = self._mod2 = None
         # degree D of the relation as a polynomial in w
         self.w_exponent = D = max((e[1] for e in relation.terms), default=0)
         if D < 1:
@@ -59,7 +60,7 @@ class RingPresentation:
         return ((self.x_name, 2), (self.w_name, self.w_degree))
 
     def is_canonical(self) -> bool:
-        return all(e[0] <= self.ell for e in self.relation.terms)
+        return max(self.relation.terms)[0] <= self.ell
 
     def poly(self, terms: Mapping[tuple[int, int], int]) -> GradedPoly:
         """Convenience constructor for polynomials over this presentation's generators."""
@@ -119,11 +120,11 @@ def canonicalize(raw: RingPresentation) -> RingPresentation:
 
 
 def presentation_mod2(P: RingPresentation) -> RingPresentation:
-    """The same presentation shape with coefficients reduced mod 2."""
-    if P.domain is Domain.MOD2:
-        return P
-    return RingPresentation(P.x_name, P.w_name, P.w_degree, P.ell,
-                            P.relation.reduce_mod2(), Domain.MOD2)
+    """The same presentation shape with coefficients reduced mod 2, built once per P."""
+    if P._mod2 is None:
+        P._mod2 = P if P.domain is Domain.MOD2 else RingPresentation(
+            P.x_name, P.w_name, P.w_degree, P.ell, P.relation.reduce_mod2(), Domain.MOD2)
+    return P._mod2
 
 
 class NormalElement:

@@ -32,6 +32,17 @@ def grid_descriptors(l_max, sum_max, rho_max, families="AB"):
     return out
 
 
+def find_preserving(P1, P2, group):
+    """find_iso_per_class's answer for one class group, a sequence of
+    (class of P1, class of P2) pairs, on a new PairSearch from the
+    canonical forms of the integer presentations P1 and P2."""
+    from torusclass.isosearch import PairSearch, SearchRing, find_iso_per_class
+    from torusclass.quotient import canonicalize
+
+    search = PairSearch(SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2)))
+    return find_iso_per_class(search, [group])[0]
+
+
 @functools.cache
 def compare_reports_from_fresh_state() -> dict:
     """compare_report of every ring-isomorphic GRID4 pair and two large

@@ -183,15 +183,13 @@ def iter_isos(P1: RingPresentation, P2: RingPresentation, preserve=()):
     On an infinite witness family only line representatives are yielded.
     Each class lives in its side's canonical form or that form's mod-2
     reduction, so its image is read from the witness's table."""
-    rings = isosearch._canonical_pair(P1, P2)
-    if rings is None:
-        return
+    search = isosearch.PairSearch(SearchRing(canonicalize(P1)), SearchRing(canonicalize(P2)))
     classes = [(c1.poly.lift_to_int() if c1.poly.domain is Domain.MOD2 else c1.poly,
                 c2.poly.terms, c1.poly.domain is Domain.MOD2) for c1, c2 in preserve]
-    for solve, make, _, _ in isosearch.PairSearch(*rings):
+    for solve, make, _, _ in search:
         for t in solve(classes):
             witness = make(t)
-            table = verify_iso(witness, rings=rings)
+            table = verify_iso(witness, rings=search.rings)
             if table and all(check_preserves(table, c1, c2) for c1, c2 in preserve):
                 yield witness
 

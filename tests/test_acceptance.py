@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import grid_descriptors
+from conftest import find_preserving, grid_descriptors
 from reference import graded_component
 from torusclass.classify import (DIFFEOMORPHIC, cohomology_isomorphic,
                                  compare_report, diffeomorphic, bott_equivalent,
@@ -118,10 +118,8 @@ def test_criterion_4_rigidity_semantics():
         if "R1" in tags and not diffeo:
             problems.append(f"R1 violation: {d1} ~ {d2} but not diffeomorphic")
             continue
-        p_pres = find_iso(P1, P2,
-                          preserve=[(pontrjagin(d1), pontrjagin(d2))]).found
-        w_pres = find_iso(P1, P2,
-                          preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))]).found
+        p_pres = find_preserving(P1, P2, [(pontrjagin(d1), pontrjagin(d2))]).found
+        w_pres = find_preserving(P1, P2, [(stiefel_whitney(d1), stiefel_whitney(d2))]).found
         if not diffeo:
             if "R2" in tags:
                 r2_witness = True

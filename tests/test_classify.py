@@ -9,14 +9,13 @@ import pytest
 import torusclass.classify as classify
 import torusclass.invariants as invariants
 import torusclass.isosearch as isosearch
-from conftest import compare_reports_from_fresh_state, grid_descriptors
+from conftest import compare_reports_from_fresh_state, find_preserving, grid_descriptors
 from torusclass.classify import (DIFFEOMORPHIC, DIMENSION_MISMATCH,
                                  NOT_DIFFEOMORPHIC, InternalConsistencyError,
                                  bott_equivalent, cohomology_isomorphic,
                                  compare_report, diffeo_key, diffeomorphic,
                                  normalize, rigidity_class, ring_key)
 from torusclass.invariants import ManifoldDescriptor
-from torusclass.isosearch import find_iso
 
 A = lambda *a: ManifoldDescriptor("A", *a)
 B = lambda *a: ManifoldDescriptor("B", *a)
@@ -252,7 +251,7 @@ def test_evicted_search_state_changes_no_report(monkeypatch):
 
 def test_one_search_answers_like_two_separate_ones():
     # compare_report answers p and w from one search; each boolean must be
-    # that of a find_iso preserving that class alone
+    # that of a fresh search preserving that class alone
     by_ring = {}
     for d in grid_descriptors(6, 6, 4):
         by_ring.setdefault(ring_key(d), []).append(d)
@@ -265,8 +264,8 @@ def test_one_search_answers_like_two_separate_ones():
         r1, r2 = invariants.report(d1), invariants.report(d2)
         for name, got in (("pontrjagin", rep.p_preservable),
                           ("stiefel_whitney", rep.w_preservable)):
-            alone = find_iso(r1.cohomology, r2.cohomology,
-                             [(getattr(r1, name), getattr(r2, name))])
+            alone = find_preserving(r1.cohomology, r2.cohomology,
+                                    [(getattr(r1, name), getattr(r2, name))])
             assert got == alone.found, (d1, d2, name)
             seen.add((name, got))
     assert len(seen) == 4
@@ -374,7 +373,7 @@ def test_characteristic_class_rigidity_biconditional():
     # exists iff the manifolds are diffeomorphic; for l = 1 the same holds
     # with the Stiefel-Whitney class. Both directions, swept over a grid.
     from torusclass.invariants import cohomology, pontrjagin, stiefel_whitney
-    from torusclass.isosearch import FOUND, NO_ISO, find_iso
+    from torusclass.isosearch import FOUND, NO_ISO
 
     grid = [d for d in grid_descriptors(4, 4, 3, families="B")
             if d.k1 + d.k2 >= 2]
@@ -385,10 +384,9 @@ def test_characteristic_class_rigidity_biconditional():
         for d1, d2 in itertools.combinations(members, 2):
             P1, P2 = cohomology(d1), cohomology(d2)
             if ell >= 2:
-                res = find_iso(P1, P2, preserve=[(pontrjagin(d1), pontrjagin(d2))])
+                res = find_preserving(P1, P2, [(pontrjagin(d1), pontrjagin(d2))])
             else:
-                res = find_iso(P1, P2,
-                               preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))])
+                res = find_preserving(P1, P2, [(stiefel_whitney(d1), stiefel_whitney(d2))])
             diffeo = diffeomorphic(d1, d2).outcome == DIFFEOMORPHIC
             assert res.status in (FOUND, NO_ISO)
             assert res.found == diffeo, (d1, d2, res.status, diffeo)

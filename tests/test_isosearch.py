@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import grid_descriptors, rebuilt_identically
+from conftest import find_preserving, grid_descriptors, rebuilt_identically
 from reference import enum_isos, evaluate_hom, iter_isos
 from torusclass import classify, isosearch
 from torusclass.classify import compare_report, ring_key
@@ -271,8 +271,8 @@ def test_mod2_table_answers_for_the_targets_own_reduction():
     # P2 = Z[x,y]/<x^2, y^2> and Q = F2[x,y]/<x^2, y^2 + x*y> share their
     # shape, not their reduction: x*y goes to y(y - x), which is x*y in P2
     # mod 2 but 0 in Q.  The table reads images in P2's reduction, so it
-    # answers for a class there and not for one in Q: the caller vouches
-    # for c2's ring
+    # answers for a class there and not for one in Q: find_iso_per_class
+    # checks c2's ring
     P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
     witness = find_iso(P1, P2).witness
     assert witness.text() == "x -> y, y -> y - x"
@@ -327,10 +327,12 @@ def test_find_iso_and_iter_isos_leave_the_pair_lines_untouched(monkeypatch):
     compare_report(d1, d2)
     before = _kept_snapshot()
     assert len(before) == 1
+    find_iso(P1, P2)
+    find_iso(P2, P1)
     for preserve in ((), [p], [(stiefel_whitney(d1), stiefel_whitney(d2))]):
-        find_iso(P1, P2, preserve)
+        find_preserving(P1, P2, preserve)
         list(iter_isos(P1, P2, preserve))
-        find_iso(P2, P1, preserve[::-1] and [preserve[0][::-1]])
+        find_preserving(P2, P1, [pair[::-1] for pair in preserve])
     assert _kept_snapshot() == before
 
 
@@ -339,7 +341,7 @@ def test_cached_witness_verified_elsewhere_gives_the_same_answers():
     # witness it was given: verify_iso on other presentations writes nothing
     d1, d2 = B(3, 2, 2, 0), B(3, -2, 2, 0)
     P1, P2 = ring(d1), ring(d2)
-    classes = [(pontrjagin(d1), pontrjagin(d2)), (stiefel_whitney(d1), stiefel_whitney(d2))]
+    classes = [[(pontrjagin(d1), pontrjagin(d2))], [(stiefel_whitney(d1), stiefel_whitney(d2))]]
 
     def ask(search):
         results = find_iso_per_class(search, classes)
@@ -359,14 +361,14 @@ def test_cached_witness_verified_elsewhere_gives_the_same_answers():
     assert ask(PairSearch(SearchRing(P1), SearchRing(P2))) == expected
 
 
-# --- preserve-constrained search --------------------------------------------------------
+# --- class-preserving search ------------------------------------------------------------
 
 def test_find_iso_with_class_constraint():
     d1, d2 = B(3, 2, 1, 3), B(3, 1, 4, 0)
-    res = find_iso(ring(d1), ring(d2), preserve=[(pontrjagin(d1), pontrjagin(d2))])
+    res = find_preserving(ring(d1), ring(d2), [(pontrjagin(d1), pontrjagin(d2))])
     assert res.found
-    res2 = find_iso(ring(d1), ring(B(3, 2, 4, 0)),
-                    preserve=[(pontrjagin(d1), pontrjagin(B(3, 2, 4, 0)))])
+    res2 = find_preserving(ring(d1), ring(B(3, 2, 4, 0)),
+                           [(pontrjagin(d1), pontrjagin(B(3, 2, 4, 0)))])
     assert res2.status == NO_ISO
 
 
@@ -374,22 +376,110 @@ def test_find_iso_with_mod2_constraint():
     d1, d2 = B(1, 1, 1, 1), B(1, 0, 1, 1)
     plain = find_iso(ring(d1), ring(d2))
     assert plain.found
-    res = find_iso(ring(d1), ring(d2),
-                   preserve=[(stiefel_whitney(d1), stiefel_whitney(d2))])
+    res = find_preserving(ring(d1), ring(d2), [(stiefel_whitney(d1), stiefel_whitney(d2))])
     assert res.status == NO_ISO
-    same = find_iso(ring(d1), ring(B(1, 3, 1, 1)),
-                    preserve=[(stiefel_whitney(d1), stiefel_whitney(B(1, 3, 1, 1)))])
+    same = find_preserving(ring(d1), ring(B(1, 3, 1, 1)),
+                           [(stiefel_whitney(d1), stiefel_whitney(B(1, 3, 1, 1)))])
     assert same.found
 
 
-def test_find_iso_rejects_a_class_of_another_ring():
-    # Q shares the shape of P2's reduction, not its relation (see
-    # test_mod2_class_of_another_ring_of_the_same_shape_falls_back)
+def _foreign_xy():
+    """P1, P2 and x*y in the reductions of P1, of P2 and of Q, which shares
+    the shape of P2's reduction but not its relation (see
+    test_mod2_table_answers_for_the_targets_own_reduction)."""
     P1, P2 = ring(A(1, -2, 1, 1)), ring(A(1, 0, 1, 1))
-    Q1, Q = presentation_mod2(P1), presentation_mod2(ring(A(1, 1, 1, 1)))
+    Q1, Q2, Q = map(presentation_mod2, (P1, P2, ring(A(1, 1, 1, 1))))
     xy = {(1, 1): 1}
-    with pytest.raises(ValueError, match="mod-2 reduction"):
-        find_iso(P1, P2, [(NormalElement(Q1, Q1.poly(xy)), NormalElement(Q, Q.poly(xy)))])
+    return P1, P2, *(NormalElement(R, R.poly(xy)) for R in (Q1, Q2, Q))
+
+
+def test_find_iso_rejects_a_class_of_another_ring():
+    # on either side, mod 2 or over Z: a class of another ring raises before
+    # anything is searched
+    P1, P2, xy1, xy2, foreign = _foreign_xy()
+    d = A(1, 1, 1, 1)
+    for group in ([(xy1, foreign)], [(foreign, xy2)], [(pontrjagin(d), pontrjagin(d))]):
+        with pytest.raises(ValueError, match="mod-2 reduction"):
+            find_preserving(P1, P2, group)
+
+
+def test_kept_search_rejects_a_class_of_another_ring():
+    # x*y of Q has the terms of x*y of P2's reduction, so it would read the
+    # kept answer for that class pair, "found", and the witness's table
+    # would say "found" too; the entry check raises, and the state keeps
+    # nothing for it
+    P1, P2, xy1, xy2, foreign = _foreign_xy()
+    search = PairSearch(SearchRing(P1), SearchRing(P2))
+    [res] = find_iso_per_class(search, [[(xy1, xy2)]])
+    assert res.found and res.witness.text() == "x -> y, y -> y - x"
+    kept = dict(search.answers)
+    for groups in ([[(xy1, foreign)]], [[(xy1, xy2)], [(xy1, foreign)]], [[(xy1, xy2), (xy1, foreign)]]):
+        with pytest.raises(ValueError, match="mod-2 reduction"):
+            find_iso_per_class(search, groups)
+        with pytest.raises(ValueError, match="mod-2 reduction"):
+            find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)), groups)
+    assert search.answers == kept
+
+
+def test_pair_search_runs_over_canonical_integer_rings():
+    # mod 2 the w of A(1,-2,1,2) goes to that of A(1,0,1,2) under a map of
+    # the reductions that lifts to no integral isomorphism carrying it; a
+    # search over the reductions would answer "found" for the integer "no"
+    d1, d2 = A(1, -2, 1, 2), A(1, 0, 1, 2)
+    P1, P2 = ring(d1), ring(d2)
+    assert find_preserving(P1, P2, [(stiefel_whitney(d1), stiefel_whitney(d2))]).status == NO_ISO
+    Q1, Q2 = presentation_mod2(P1), presentation_mod2(P2)
+    raw = RingPresentation(P1.x_name, P1.w_name, 2, 1, P1.relation + P1.x() ** 3)
+    assert not raw.is_canonical() and canonicalize(raw) == P1
+    for rings in ((Q1, Q2), (P1, Q2), (Q1, P2), (raw, P2), (P2, raw)):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            PairSearch(*map(SearchRing, rings))
+
+
+def test_equal_presentations_built_apart_give_the_same_answers():
+    # classes stated on a presentation equal to the search's, not the same
+    # object: accepted, with the answers and first witnesses of the originals
+    seen = set()
+    for d1, d2 in ((B(3, 2, 2, 0), B(3, -2, 2, 0)), (B(3, 1, 2, 0), B(3, 3, 2, 0)),
+                   (B(1, 1, 1, 1), B(1, 2, 1, 1))):
+        P1, P2 = ring(d1), ring(d2)
+        copies = [RingPresentation(P.x_name, P.w_name, P.w_degree, P.ell,
+                                   P.poly(dict(P.relation.terms))) for P in (P1, P2)]
+        groups, apart = [], []
+        for cls in (pontrjagin, stiefel_whitney):
+            pair = cls(d1), cls(d2)
+            groups.append([pair])
+            homes = [Q if c.poly.domain is Domain.INT else presentation_mod2(Q)
+                     for Q, c in zip(copies, pair)]
+            assert all(home == c.presentation and home is not c.presentation
+                       for home, c in zip(homes, pair))
+            apart.append([tuple(NormalElement(home, c.poly) for home, c in zip(homes, pair))])
+        want = find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)), groups)
+        for search in (PairSearch(SearchRing(P1), SearchRing(P2)),
+                       PairSearch(*map(SearchRing, copies))):
+            got = find_iso_per_class(search, apart)
+            assert [(r.status, r.witness and r.witness.params) for r in got] == \
+                [(r.status, r.witness and r.witness.params) for r in want], (d1, d2)
+        seen.update(r.status for r in want)
+    assert seen == {FOUND, NO_ISO}
+
+
+def test_joint_group_takes_the_first_witness_for_both_classes():
+    # one group [p, w] asks for one isomorphism that carries both classes:
+    # its answer is the first witness of the reference walk for both
+    by_ring = {}
+    for d in grid_descriptors(4, 4, 3):
+        by_ring.setdefault(ring_key(d), []).append(d)
+    pairs = [pair for group in by_ring.values() for pair in itertools.permutations(group, 2)]
+    seen = set()
+    for d1, d2 in random.Random(32).sample(pairs, 120):
+        P1, P2 = ring(d1), ring(d2)
+        p, w = (pontrjagin(d1), pontrjagin(d2)), (stiefel_whitney(d1), stiefel_whitney(d2))
+        first = next(iter_isos(P1, P2, [p, w]), None)
+        [joint] = find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)), [[p, w]])
+        assert (joint.witness and joint.witness.params) == (first and first.params), (d1, d2)
+        seen.add(joint.status)
+    assert seen == {FOUND, NO_ISO}
 
 
 def test_classes_of_a_non_canonical_presentation_give_the_same_answers():
@@ -405,9 +495,9 @@ def test_classes_of_a_non_canonical_presentation_give_the_same_answers():
             on_raw = tuple(NormalElement(raw if c.poly.domain is Domain.INT
                                          else presentation_mod2(raw), c.poly)
                            for raw, c in zip(raws, pair))
-            want = find_iso(P1, P2, [pair])
+            want = find_preserving(P1, P2, [pair])
             for presentations in ((P1, P2), raws):
-                got = find_iso(*presentations, [on_raw])
+                got = find_preserving(*presentations, [on_raw])
                 assert got.status == want.status, (d1, d2, cls)
                 assert (got.witness and got.witness.params) == (want.witness and want.witness.params)
             seen.add(want.status)

@@ -4,15 +4,17 @@ tried first.
 A constant gcd over F_p of the nilpotency forms proves that (1, 0) is the
 only direction, so the integer gcd is not formed.  These tests pin that
 the pre-check moves no direction list, that it spares the integer gcd on
-a large base, and that a non-constant gcd over F_p still leads to the
-integer gcd and its directions.
+a large base, so that a compare there takes well under a second, and that
+a non-constant gcd over F_p still leads to the integer gcd and its
+directions.
 """
 
 import hashlib
 import itertools
+import time
 
 from conftest import grid_descriptors
-from torusclass import isosearch
+from torusclass import classify, isosearch
 from torusclass.invariants import ManifoldDescriptor, cohomology
 from torusclass.isosearch import _Monomials, _nilpotent_directions
 from torusclass.quotient import TruncatedProducts, graded_ranks
@@ -62,6 +64,20 @@ def test_large_base_forms_no_integer_gcd(monkeypatch):
     calls = counted_integer_gcds(monkeypatch)
     assert directions(cohomology(A(600, 3, 2, 2)), cohomology(A(600, -3, 2, 2))) == [(1, 0)]
     assert calls == []
+
+
+def test_large_base_compares_within_a_second(monkeypatch):
+    # compare_report from a fresh state, the better of two runs: about 0.1 s
+    # with the pre-check, and over a second when the integer gcd of the
+    # degree-601 forms is formed
+    times = []
+    for _ in range(2):
+        monkeypatch.setattr(classify, "_CACHE", classify.CompareCache())
+        start = time.perf_counter()
+        report = classify.compare_report(A(600, 3, 2, 2), A(600, -3, 2, 2))
+        times.append(time.perf_counter() - start)
+        assert report.p_preservable and report.w_preservable
+    assert min(times) < 1.0, times
 
 
 def test_nonconstant_gcd_mod_p_still_gives_the_directions(monkeypatch):

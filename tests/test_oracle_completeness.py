@@ -5,7 +5,7 @@ exact search finds too, with and without a class to preserve."""
 import itertools
 import random
 
-from conftest import grid_descriptors
+from conftest import find_preserving, grid_descriptors
 from reference import enum_isos
 from torusclass.classify import ring_key
 from torusclass.invariants import cohomology, pontrjagin, stiefel_whitney
@@ -42,7 +42,7 @@ def test_exact_search_finds_what_the_enumeration_finds():
         P1, P2 = cohomology(d1), cohomology(d2)
         for cls in (None, pontrjagin, stiefel_whitney):
             preserve = () if cls is None else [(cls(d1), cls(d2))]
-            exact = find_iso(P1, P2, preserve)
+            exact = find_iso(P1, P2) if cls is None else find_preserving(P1, P2, preserve)
             assert exact.status in (FOUND, NO_ISO)
             enum = next(enum_isos(P1, P2, preserve, bound=BOUND), None)
             where = (d1, d2, cls and cls.__name__)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_descriptors
+from conftest import find_preserving, grid_descriptors
 from reference import evaluate_hom, iter_isos
 from torusclass import isosearch
 from torusclass.classify import cohomology_isomorphic
@@ -46,7 +46,7 @@ def first_witnesses_digest() -> str:
             continue
         (P1, p1, w1), (P2, p2, w2) = classes[d1], classes[d2]
         per_class = find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)),
-                                       [(p1, p2), (w1, w2)])
+                                       [[(p1, p2)], [(w1, w2)]])
         outcomes = [_outcome(r) for r in (find_iso(P1, P2), *per_class)]
         h.update(f"{d1} {d2} | {' | '.join(outcomes)}\n".encode())
     return h.hexdigest()
@@ -62,7 +62,7 @@ def test_degree_2_class_keeps_the_sigma_lines():
     # x has degree 2, so sigma does not fix it; x -> -x lies on sgn = -1 lines only
     P = cohomology(A(2, 1, 1, 2))
     x, minus_x = normal_form(P.x(), P), normal_form(-P.x(), P)
-    res = find_iso(P, P, [(x, minus_x)])
+    res = find_preserving(P, P, [(x, minus_x)])
     assert res.found and res.witness.images[P.x_name] == -P.x()
 
 
@@ -114,8 +114,9 @@ def test_unfixed_classes_agree_with_the_unreduced_walk(pair, shape, i, a, b, k, 
     first = next(iter_isos(P1, P2, [(c1, c2)]), None)
     expected = (FOUND, first.params) if first else (NO_ISO, None)
     event(f"{shape}, w of degree {P1.w_degree}, {'mod 2' if mod2 else 'integer'}: {expected[0]}")
-    searched = [find_iso(P1, P2, [(c1, c2)]),
-                *find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)), [(c1, c2)])]
+    # alone on a fresh search, and beside the empty group in one walk
+    searched = [find_preserving(P1, P2, [(c1, c2)]),
+                find_iso_per_class(PairSearch(SearchRing(P1), SearchRing(P2)), [(), [(c1, c2)]])[1]]
     for res in searched:
         assert (res.status, res.witness and res.witness.params) == expected, (d1, d2, c1, c2)
 
@@ -142,5 +143,5 @@ def test_skipped_lines_form_no_conditions(monkeypatch, d1, d2, asked):
     search = PairSearch(SearchRing(cohomology(d1)), SearchRing(cohomology(d2)))
     for cls, status, calls in asked:
         formed.clear()
-        [res] = find_iso_per_class(search, [(cls(d1), cls(d2))])
+        [res] = find_iso_per_class(search, [[(cls(d1), cls(d2))]])
         assert (res.status, len(formed)) == (status, calls), cls
